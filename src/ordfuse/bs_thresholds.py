@@ -63,16 +63,18 @@ def thresholds_at_stage(
 def _stage_extrema(absy: np.ndarray, law: LlrLaw):
     """Running correction-term extrema per (slot, stage).
 
-    Combines the precomputed envelope with this slot's own later report
+    Combines the envelope's grid extrema with this slot's own later report
     magnitudes so the stage-k extremum always dominates every later query
     point of the same slot, keeping the sequential and block rules aligned.
+    The suffix extrema include the stage's own point, so this equals
+    `envelope_for(law).extrema` combined with them, with the term evaluated
+    once per report.
     """
-    env = envelope_for(law)
-    env_min, env_max = env.extrema(absy)
+    grid_min, grid_max = envelope_for(law)._prefix_extrema(absy)
     point = np.asarray(correction_term(absy, law), dtype=float)
     suf_min = np.minimum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
     suf_max = np.maximum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
-    return np.minimum(env_min, suf_min), np.maximum(env_max, suf_max), point
+    return np.minimum(grid_min, suf_min), np.maximum(grid_max, suf_max), point
 
 
 def decide_batch(

@@ -252,16 +252,18 @@ class CorrectionEnvelope:
         self._prefix_min = np.minimum.accumulate(values)
         self._prefix_max = np.maximum.accumulate(values)
 
+    def _prefix_extrema(self, a: np.ndarray):
+        """(min, max) of the term over the grid points in [0, a], elementwise."""
+        idx = np.searchsorted(self._grid, a, side="right") - 1
+        idx = np.clip(idx, 0, len(self._grid) - 1)
+        return self._prefix_min[idx], self._prefix_max[idx]
+
     def extrema(self, y):
         """(min, max) of the correction term over [0, y], elementwise in y."""
         a = np.abs(np.asarray(y, dtype=float))
-        idx = np.searchsorted(self._grid, a, side="right") - 1
-        idx = np.clip(idx, 0, len(self._grid) - 1)
+        grid_min, grid_max = self._prefix_extrema(a)
         point = np.asarray(correction_term(a, self.law), dtype=float)
-        return (
-            np.minimum(self._prefix_min[idx], point),
-            np.maximum(self._prefix_max[idx], point),
-        )
+        return np.minimum(grid_min, point), np.maximum(grid_max, point)
 
 
 @functools.lru_cache(maxsize=32)

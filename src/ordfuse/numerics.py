@@ -2,28 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def gauss_legendre_panels(a: float, b: float, n_panels: int, order: int = 16):
-    """Nodes and weights of composite Gauss-Legendre quadrature on [a, b].
-
-    Returns (nodes, weights) as flat arrays of length n_panels * order.
-    """
-    if not b > a:
-        raise ValueError("empty integration interval")
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (lo + half * (x[None, :] + 1.0)).ravel()
-    weights = (half * w[None, :]).ravel()
-    return nodes, weights
 
 
 def panels_from_edges(edges: np.ndarray, order: int = 16):
@@ -37,27 +18,6 @@ def panels_from_edges(edges: np.ndarray, order: int = 16):
     nodes = (lo + half * (x[None, :] + 1.0)).ravel()
     weights = (half * w[None, :]).ravel()
     return nodes, weights
-
-
-def graded_panels(
-    a: float,
-    b: float,
-    split: float,
-    n_dense: int,
-    n_tail: int,
-    order: int = 16,
-    n_edge: int = 48,
-):
-    """Composite GL panels on [a, b]: geometrically refined toward a (handles
-    integrable endpoint singularities), uniform to `split`, log-spaced beyond."""
-    if not a < split < b:
-        return gauss_legendre_panels(a, b, n_dense + n_tail, order)
-    width = split - a
-    edge = a + width * 0.5 ** np.arange(n_edge, 0, -1)
-    dense = np.linspace(a + 0.5 * width, split, n_dense)
-    tail = split + (b - split) * (np.expm1(np.linspace(0.0, 1.0, n_tail) * math.log(4.0)) / 3.0)
-    edges = np.unique(np.concatenate([[a], edge, dense, tail, [b]]))
-    return panels_from_edges(edges, order)
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:

@@ -12,9 +12,16 @@ from ordfuse.bs_thresholds import (
     run_detector_generalized,
     thresholds_at_stage,
 )
+from ordfuse import bs_thresholds, llr_distributions
 from ordfuse.bs_thresholds import _stage_extrema
 from ordfuse.defaults import default_scenario
-from ordfuse.llr_distributions import correction_extrema, correction_term, law_for_sensor
+from ordfuse.fusion_sim import compare_with_block_oracle
+from ordfuse.llr_distributions import (
+    correction_extrema,
+    correction_term,
+    envelope_for,
+    law_for_sensor,
+)
 from ordfuse.sensing_model import Hypothesis, MeasurementModel, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -82,6 +89,24 @@ class TestThresholdsAtStage:
         assert np.all(rho_min <= point[:, -1:] + 0.0)
         assert np.all(rho_max >= point[:, -1:] - 0.0)
 
+    @pytest.mark.parametrize("which", ["energy", "shift"])
+    def test_equals_envelope_extrema_with_suffix(self, which, request):
+        # the envelope's own point evaluation is absorbed by the suffix
+        # extrema, which include the point: the result is bit-identical
+        cfg = request.getfixturevalue("scenario" if which == "energy" else "shift_scenario")
+        law = law_for_sensor(cfg, 0)
+        _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(29), 4096)
+        absy = np.abs(ordered[:, : cfg.K])
+        rho_min, rho_max, point = _stage_extrema(absy, law)
+
+        env_min, env_max = envelope_for(law).extrema(absy)
+        ref_point = np.asarray(correction_term(absy, law), dtype=float)
+        suf_min = np.minimum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
+        suf_max = np.maximum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
+        assert np.array_equal(rho_min, np.minimum(env_min, suf_min))
+        assert np.array_equal(rho_max, np.maximum(env_max, suf_max))
+        assert np.array_equal(point, ref_point)
+
 
 class TestRunDetector:
     def test_single_sensor_is_map_sign_test(self):
@@ -131,6 +156,47 @@ class TestRunDetector:
             out = run_detector(ordered[i], scenario, law)
             assert out.declared == declared[i]
             assert out.stage == stage[i]
+
+
+    def test_correction_term_evaluated_once_per_report(self, scenario, law, monkeypatch):
+        envelope_for(law)  # build the cached envelope before counting
+        points = []
+
+        def counting(y, law_):
+            points.append(np.size(y))
+            return correction_term(y, law_)
+
+        # the envelope reaches the term through its own module, so count both
+        monkeypatch.setattr(bs_thresholds, "correction_term", counting)
+        monkeypatch.setattr(llr_distributions, "correction_term", counting)
+        _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(31), 300)
+        decide_batch(ordered, scenario, law)
+        assert sum(points) == 300 * scenario.K
+
+
+class TestFragileRegimes:
+    """Sequential band decisions equal block MAP slot by slot at the edges
+    of the parameter space, in the style of acceptance criterion 2."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"N": 1},
+            {"sigma2_s": (0.05,) * 10},
+            {"sigma2_s": (50.0,) * 10},
+            {"pi0": 0.01},
+            {"pi0": 0.99},
+            {"M": 8, "K": 8},
+            {"K": 1},
+            {"M": 100, "K": 12, "tau": 0.05},
+        ],
+        ids=["N1", "snr-low", "snr-high", "pi0-low", "pi0-high", "M8K8", "K1", "M100K12"],
+    )
+    def test_full_depth_agrees_with_block_map(self, overrides):
+        cfg = default_scenario(**overrides)
+        report = compare_with_block_oracle(cfg, 8192, seed=7)
+        assert report.agreement_fraction == 1.0, report.first_disagreement
+        assert report.n_disagreements == 0
 
 
 class TestMapBlockDecision:
