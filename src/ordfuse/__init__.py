@@ -6,7 +6,6 @@ from .bs_thresholds import (
     DecisionOutcome,
     map_block_decision,
     run_detector,
-    run_detector_generalized,
     thresholds_at_stage,
 )
 from .dp_policy import (
@@ -16,8 +15,6 @@ from .dp_policy import (
     PolicyTable,
     concavity_check,
     decision_cost,
-    posterior_update,
-    posterior_update_exact,
     run_policy,
     solve_backward,
     solve_one_threshold,
@@ -41,23 +38,13 @@ from .fusion_sim import (
 from .llr_distributions import (
     LlrLaw,
     central_mass,
-    correction_extrema,
     correction_term,
     exceed_prob,
     law_for_sensor,
     llr_cdf,
     llr_pdf,
-    log_density_ratio,
-    staged_correction,
 )
-from .order_stats import (
-    SensorEnsemble,
-    conditional_pdf,
-    joint_consecutive_pdf,
-    joint_topk_pdf,
-    ranked_pdf,
-    subset_weight_sum,
-)
+from .order_stats import SensorEnsemble, ranked_pdf
 from .sensing_model import (
     Hypothesis,
     MeasurementModel,

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .llr_distributions import (
-    LlrLaw,
-    correction_extrema,
-    correction_term,
-    envelope_for,
-    log_density_ratio,
-)
+from .llr_distributions import LlrLaw, correction_term, envelope_for
 from .sensing_model import Hypothesis, ScenarioConfig
 
 
@@ -53,7 +47,7 @@ def thresholds_at_stage(
     if k == config.K:
         t = logprior - unreported * correction_term(a, law)
         return t, t
-    lo_corr, hi_corr = correction_extrema(a, law)
+    lo_corr, hi_corr = (float(v) for v in envelope_for(law).extrema(a))
     span = (config.K - k) * a
     t_low = logprior - span - unreported * hi_corr
     t_high = logprior + span - unreported * lo_corr
@@ -77,12 +71,7 @@ def _stage_extrema(absy: np.ndarray, law: LlrLaw):
     return np.minimum(grid_min, suf_min), np.maximum(grid_max, suf_max), point
 
 
-def decide_batch(
-    ordered_values: np.ndarray,
-    config: ScenarioConfig,
-    law: LlrLaw,
-    generalized: bool = False,
-):
+def decide_batch(ordered_values: np.ndarray, config: ScenarioConfig, law: LlrLaw):
     """Vectorized sequential decisions.
 
     ordered_values: (n_slots, >=K) LLRs sorted by descending magnitude.
@@ -99,19 +88,9 @@ def decide_batch(
     unreported = m_total - k_max
 
     rho_min, rho_max, rho_point = _stage_extrema(absy, law)
-    stages = np.arange(1, k_max)
-    span_coeff = (k_max - stages)[None, :]
-    if generalized:
-        # valid for the supported families, whose log density ratio is
-        # monotone increasing: its extrema over [-a, a] sit at the endpoints
-        ratio_lo = np.asarray(log_density_ratio(-absy[:, : k_max - 1], law), dtype=float)
-        ratio_hi = np.asarray(log_density_ratio(absy[:, : k_max - 1], law), dtype=float)
-        t_low = logprior - span_coeff * ratio_hi - unreported * rho_max[:, : k_max - 1]
-        t_high = logprior - span_coeff * ratio_lo - unreported * rho_min[:, : k_max - 1]
-    else:
-        span = span_coeff * absy[:, : k_max - 1]
-        t_low = logprior - span - unreported * rho_max[:, : k_max - 1]
-        t_high = logprior + span - unreported * rho_min[:, : k_max - 1]
+    span = (k_max - np.arange(1, k_max))[None, :] * absy[:, : k_max - 1]
+    t_low = logprior - span - unreported * rho_max[:, : k_max - 1]
+    t_high = logprior + span - unreported * rho_min[:, : k_max - 1]
 
     early = running[:, : k_max - 1]
     low_hit = early < t_low
@@ -147,18 +126,6 @@ def run_detector(ordered, config: ScenarioConfig, law: LlrLaw) -> DecisionOutcom
     if values.size < config.K:
         raise ValueError(f"need at least K={config.K} ordered values")
     declared, stage = decide_batch(values[None, :], config, law)
-    k = int(stage[0])
-    return DecisionOutcome(Hypothesis(int(declared[0])), k, config.sensing_time(k))
-
-
-def run_detector_generalized(ordered, config: ScenarioConfig, law: LlrLaw) -> DecisionOutcome:
-    """Sequential decision with the staged correction in place of the plain
-    magnitude bound; handles laws whose observation statistic need not map
-    monotonically to the LLR."""
-    values = _ordered_values(ordered)
-    if values.size < config.K:
-        raise ValueError(f"need at least K={config.K} ordered values")
-    declared, stage = decide_batch(values[None, :], config, law, generalized=True)
     k = int(stage[0])
     return DecisionOutcome(Hypothesis(int(declared[0])), k, config.sensing_time(k))
 

@@ -21,14 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .defaults import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    default_error_min_costs,
-    default_fading,
-    default_scenario,
-    default_throughput_costs,
-)
+from .defaults import DEFAULT_SEED, DEFAULT_TRIALS, default_fading, default_scenario
 from .dp_policy import (
     CostMode,
     CostModel,
@@ -40,6 +33,7 @@ from .dp_policy import (
 from .fading_link import FadingConfig
 from .fusion_sim import (
     DETECTOR_KINDS,
+    IDENTICAL_ONLY_KINDS,
     make_detector,
     run_monte_carlo,
     run_monte_carlo_fading,
@@ -165,6 +159,9 @@ def load_config(path) -> ConfigBundle:
     cost = _load_cost(raw)
     fading = _load_fading(raw, parser.has_section("fading"), scenario.M)
     experiment = _load_experiment(raw, parser)
+    detector = experiment.overrides.get("detector")
+    if detector in IDENTICAL_ONLY_KINDS and not SensorEnsemble.from_config(scenario).is_identical:
+        raise ConfigError(f"[experiment] detector '{detector}' requires identical sensors")
     return ConfigBundle(scenario, cost, fading, experiment)
 
 
@@ -355,7 +352,7 @@ def _values_from(spec: ExperimentSpec, key: str, fallback: list) -> list:
 def _preset_perror_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     spec = bundle.experiment
     m_values = [int(v) for v in _values_from(spec, "m_values", [4, 6, 8, 10, 12, 16, 20])]
-    cm = default_error_min_costs(c=bundle.cost.c)
+    cm = CostModel.error_min(c=bundle.cost.c)
     bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed)
     dp = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm)
     rows = []
@@ -374,7 +371,7 @@ def _preset_throughput_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     omegas = _values_from(spec, "omega_values", [0.5, 0.999])
     rows = []
     for omega in omegas:
-        cm = default_throughput_costs(omega=omega, c=bundle.cost.c)
+        cm = CostModel.throughput(omega=omega, c=bundle.cost.c)
         for m, met in sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm):
             rows.append([
                 int(m), omega,
@@ -389,8 +386,8 @@ def _preset_throughput_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
 def _preset_probed_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     spec = bundle.experiment
     m_values = [int(v) for v in _values_from(spec, "m_values", [4, 6, 8, 10, 12, 16, 20])]
-    cm_err = default_error_min_costs(c=bundle.cost.c)
-    cm_thr = default_throughput_costs(c=bundle.cost.c)
+    cm_err = CostModel.error_min(c=bundle.cost.c)
+    cm_thr = CostModel.throughput(c=bundle.cost.c)
     bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed)
     dp_e = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_err)
     dp_t = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_thr)
@@ -411,8 +408,8 @@ def _preset_throughput_compare(bundle: ConfigBundle, out_dir: Path) -> list[Path
     spec = bundle.experiment
     m_values = [int(v) for v in _values_from(spec, "m_values", [4, 6, 8, 10, 12, 16, 20])]
     omega = 0.5
-    cm_err = default_error_min_costs(c=bundle.cost.c)
-    cm_thr = default_throughput_costs(omega=omega, c=bundle.cost.c)
+    cm_err = CostModel.error_min(c=bundle.cost.c)
+    cm_thr = CostModel.throughput(omega=omega, c=bundle.cost.c)
     bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed, cost_model=cm_thr)
     dp_e = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_err)
     dp_t = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_thr)
@@ -443,7 +440,7 @@ def _preset_probed_vs_k(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     )
     res_low = sweep("K", k_values, low, "bs", spec.trials, spec.seed)
     res_high = sweep("K", k_values, high, "bs", spec.trials, spec.seed)
-    res_shift = sweep("K", k_values, shift, "bs-generalized", spec.trials, spec.seed)
+    res_shift = sweep("K", k_values, shift, "bs", spec.trials, spec.seed)
     rows = [
         [int(k), a.avg_stage, b.avg_stage, c.avg_stage, spec.trials, spec.seed]
         for (k, a), (_, b), (_, c) in zip(res_low, res_high, res_shift)
@@ -460,7 +457,7 @@ def _preset_probed_vs_k(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
 def _preset_fading_probed(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     spec = bundle.experiment
     m_values = [int(v) for v in _values_from(spec, "m_values", [8, 10, 12, 16, 20])]
-    cm = default_error_min_costs(c=bundle.cost.c)
+    cm = CostModel.error_min(c=bundle.cost.c)
     rows = []
     for m in m_values:
         cfg = default_scenario(M=m, rng_seed=bundle.scenario.rng_seed)
@@ -495,7 +492,7 @@ def _preset_thresholds_vs_stage(bundle: ConfigBundle, out_dir: Path) -> list[Pat
     ensemble = SensorEnsemble.from_config(config)
     rows = []
     for c in c_values:
-        cm = default_throughput_costs(c=c)
+        cm = CostModel.throughput(c=c)
         policy = solve_backward(config, cm, ensemble)
         for k in range(1, policy.k_max + 1):
             lo = float(policy.pi_low[k - 1])
@@ -518,7 +515,7 @@ def _preset_sensing_vs_c(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     spec = bundle.experiment
     c_values = _values_from(spec, "c_values", [0.0, 1e-5, 1e-4, 1e-3, 1e-2])
     config = default_scenario(M=8, K=8, rng_seed=bundle.scenario.rng_seed)
-    cm = default_error_min_costs()
+    cm = CostModel.error_min()
     rows = []
     for c, met in sweep("c", c_values, config, "dp", spec.trials, spec.seed, cost_model=cm):
         rows.append([

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .dp_policy import CostMode, CostModel
 from .fading_link import FadingConfig
 from .sensing_model import MeasurementModel, ScenarioConfig
 
@@ -34,14 +33,6 @@ def default_scenario(**overrides) -> ScenarioConfig:
         overrides.setdefault("sigma2_s", (base.sigma2_s[0],) * m)
         overrides.setdefault("K", min(base.K, m))
     return replace(base, **overrides)
-
-
-def default_error_min_costs(c: float = 0.0001) -> CostModel:
-    return CostModel.error_min(c=c)
-
-
-def default_throughput_costs(omega: float = 0.5, c: float = 0.0001, **kwargs) -> CostModel:
-    return CostModel(mode=CostMode.WEIGHTED_THROUGHPUT, omega=omega, c=c, **kwargs)
 
 
 def default_fading(m: int) -> FadingConfig:

@@ -4,7 +4,8 @@ Solves the finite-horizon optimal-stopping problem over the posterior
 probability that the channel is free. Stage k's continuation expectation
 integrates the next stage's value against the rank-(k+1) marginal mixture,
 the reduced-complexity recursion that drops conditioning on the previous
-report. The exact conditional recursion is kept alongside for validation.
+report. The exact conditional recursion lives in `ordfuse.reference`, which
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bs_thresholds import DecisionOutcome, _ordered_values
-from .numerics import panels_from_edges
-from .order_stats import SensorEnsemble, conditional_pdf, ranked_pdf
+from .order_stats import SensorEnsemble, ranked_pdf
 from .sensing_model import Hypothesis, ScenarioConfig
 
 _TIE_TOL = 1e-11  # stop-vs-continue ties within quadrature noise resolve to continuing
@@ -198,35 +198,17 @@ def accumulated_llr_equivalent(pi_threshold: float, pi0: float) -> float:
     return math.log(pi0 / (1.0 - pi0)) + math.log((1.0 - pi_threshold) / pi_threshold)
 
 
-def posterior_update(pi_k: float, y: float, k: int, ensemble: SensorEnsemble) -> float:
-    """Belief update with the rank-(k+1) marginal densities (k reports absorbed)."""
-    rank = k + 1
-    f0 = float(ranked_pdf(rank, y, Hypothesis.H0, ensemble))
-    f1 = float(ranked_pdf(rank, y, Hypothesis.H1, ensemble))
-    den = pi_k * f0 + (1.0 - pi_k) * f1
-    if den <= 0.0:
-        raise PosteriorUndefined(f"predictive density vanishes at rank {rank}, y={y}")
-    return pi_k * f0 / den
-
-
-def posterior_update_exact(
-    pi_k: float, y_prev: float | None, y: float, k: int, ensemble: SensorEnsemble
-) -> float:
-    """Belief update with the exact conditional rank densities.
-
-    k indexes the incoming observation (1-based); the first stage has nothing
-    to condition on and reduces to the marginal update.
-    """
-    if k == 1:
-        return posterior_update(pi_k, y, 0, ensemble)
-    if y_prev is None:
-        raise ValueError("conditioning value required for k >= 2")
-    f0 = conditional_pdf(k, y, y_prev, Hypothesis.H0, ensemble)
-    f1 = conditional_pdf(k, y, y_prev, Hypothesis.H1, ensemble)
-    den = pi_k * f0 + (1.0 - pi_k) * f1
-    if den <= 0.0:
-        raise PosteriorUndefined(f"conditional predictive density vanishes at stage {k}")
-    return pi_k * f0 / den
+def panels_from_edges(edges: np.ndarray, order: int = 16):
+    """Composite Gauss-Legendre nodes/weights over consecutive edge intervals."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be strictly increasing with at least two entries")
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    nodes = (lo + half * (x[None, :] + 1.0)).ravel()
+    weights = (half * w[None, :]).ravel()
+    return nodes, weights
 
 
 def _quadrature_edges(ensemble: SensorEnsemble, per_segment: int) -> np.ndarray:
@@ -414,17 +396,9 @@ def run_policy(ordered, policy: PolicyTable, ensemble: SensorEnsemble, pi0: floa
     values = _ordered_values(ordered)
     if values.size < policy.k_max:
         raise ValueError(f"need at least K={policy.k_max} ordered values")
-    pi = float(pi0)
-    for k in range(1, policy.k_max + 1):
-        pi = posterior_update(pi, float(values[k - 1]), k - 1, ensemble)
-        if k == policy.k_max:
-            declared = Hypothesis.H0 if pi >= policy.pi_high[k - 1] else Hypothesis.H1
-            return DecisionOutcome(declared, k, policy.sensing_time(k))
-        if pi >= policy.pi_high[k - 1]:
-            return DecisionOutcome(Hypothesis.H0, k, policy.sensing_time(k))
-        if pi <= policy.pi_low[k - 1]:
-            return DecisionOutcome(Hypothesis.H1, k, policy.sensing_time(k))
-    raise AssertionError("unreachable")
+    declared, stage = run_policy_batch(values[None, :], policy, ensemble, pi0)
+    k = int(stage[0])
+    return DecisionOutcome(Hypothesis(int(declared[0])), k, policy.sensing_time(k))
 
 
 def run_policy_batch(

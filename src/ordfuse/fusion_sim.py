@@ -43,13 +43,12 @@ class AgreementReport:
 class SequentialDetector:
     """Running-sum detector with data-dependent thresholds."""
 
-    def __init__(self, config: ScenarioConfig, law: LlrLaw, generalized: bool = False):
+    def __init__(self, config: ScenarioConfig, law: LlrLaw):
         self.config = config
         self.law = law
-        self.generalized = generalized
 
     def decide(self, ordered_values):
-        return decide_batch(ordered_values, self.config, self.law, generalized=self.generalized)
+        return decide_batch(ordered_values, self.config, self.law)
 
 
 class BlockMapDetector:
@@ -91,7 +90,9 @@ class PriorOnlyDetector:
         )
 
 
-DETECTOR_KINDS = ("bs", "bs-generalized", "block-map", "dp", "one-threshold", "prior-only")
+DETECTOR_KINDS = ("bs", "block-map", "dp", "one-threshold", "prior-only")
+# detectors that read a single law and so need identical sensors
+IDENTICAL_ONLY_KINDS = ("bs", "block-map")
 
 
 def make_detector(
@@ -101,13 +102,13 @@ def make_detector(
     grid_size: int = 1001,
 ):
     ensemble = SensorEnsemble.from_config(config)
-    if kind in ("bs", "bs-generalized", "block-map"):
+    if kind in IDENTICAL_ONLY_KINDS:
         if not ensemble.is_identical:
             raise ValueError(f"detector '{kind}' requires identical sensors")
         law = law_for_sensor(config, 0)
         if kind == "block-map":
             return BlockMapDetector(config, law)
-        return SequentialDetector(config, law, generalized=(kind == "bs-generalized"))
+        return SequentialDetector(config, law)
     if kind == "dp":
         if cost_model is None:
             raise ValueError("dp detector needs a cost model")
@@ -125,6 +126,18 @@ def make_detector(
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def _chunks(config: ScenarioConfig, seed: int, total: int, first_key: int = 0):
+    """Draw `total` slots in SIM_CHUNK-sized chunks, each from its own child stream.
+
+    Yields (offset, rng, truth, ordered_values); `rng` is the chunk's stream,
+    left positioned after the slot draws.
+    """
+    for idx, offset in enumerate(range(0, total, SIM_CHUNK)):
+        rng = _chunk_rng(seed, first_key + idx)
+        truth, _, ordered_values, _ = draw_slots(config, rng, min(SIM_CHUNK, total - offset))
+        yield offset, rng, truth, ordered_values
 
 
 def _bernoulli(prob: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,24 +210,14 @@ def run_monte_carlo(
         raise ValueError("trials must be >= 1")
     seed = config.rng_seed if seed is None else seed
     acc = _Accumulator(config.K)
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        n = min(SIM_CHUNK, trials - done)
-        rng = _chunk_rng(seed, chunk_idx)
-        truth, _, ordered_values, _ = draw_slots(config, rng, n)
+    for _, rng, truth, ordered_values in _chunks(config, seed, trials):
         declared, stage = detector.decide(ordered_values)
         acc.add(truth, declared, stage, config, cost_model, rng)
-        done += n
-        chunk_idx += 1
     return acc.metrics()
 
 
 def compare_with_block_oracle(
-    config: ScenarioConfig,
-    trials: int,
-    seed: int | None = None,
-    generalized: bool = False,
+    config: ScenarioConfig, trials: int, seed: int | None = None
 ) -> AgreementReport:
     """Per-realization agreement of the sequential detector with the block MAP
     rule on shared slot draws; reports the first disagreement if any."""
@@ -222,19 +225,14 @@ def compare_with_block_oracle(
     law = law_for_sensor(config, 0)
     n_disagree = 0
     first = None
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        n = min(SIM_CHUNK, trials - done)
-        rng = _chunk_rng(seed, chunk_idx)
-        truth, _, ordered_values, _ = draw_slots(config, rng, n)
-        seq_declared, seq_stage = decide_batch(ordered_values, config, law, generalized=generalized)
+    for offset, _, truth, ordered_values in _chunks(config, seed, trials):
+        seq_declared, seq_stage = decide_batch(ordered_values, config, law)
         blk_declared = map_block_batch(ordered_values, config, law)
         mism = np.flatnonzero(seq_declared != blk_declared)
         if mism.size and first is None:
             i = int(mism[0])
             first = {
-                "slot": done + i,
+                "slot": offset + i,
                 "truth": int(truth[i]),
                 "sequential": int(seq_declared[i]),
                 "sequential_stage": int(seq_stage[i]),
@@ -242,8 +240,6 @@ def compare_with_block_oracle(
                 "top_k": [float(v) for v in ordered_values[i, : config.K]],
             }
         n_disagree += int(mism.size)
-        done += n
-        chunk_idx += 1
     return AgreementReport(
         trials=trials,
         agreement_fraction=1.0 - n_disagree / trials,
@@ -354,14 +350,8 @@ def run_monte_carlo_fading(
             if m_eff not in detectors:
                 detectors[m_eff] = make_detector(detector_kind, cfg, cost_model, grid_size)
             detector = detectors[m_eff]
-        done = 0
-        chunk_idx = 0
-        while done < n_slots:
-            n = min(SIM_CHUNK, n_slots - done)
-            rng = _chunk_rng(seed, (1 + m_eff) * 1_000_000 + chunk_idx)
-            truth, _, ordered_values, _ = draw_slots(cfg, rng, n)
+        first_key = (1 + m_eff) * 1_000_000
+        for _, rng, truth, ordered_values in _chunks(cfg, seed, n_slots, first_key):
             declared, stage = detector.decide(ordered_values)
             acc.add(truth, declared, stage, cfg, cost_model, rng)
-            done += n
-            chunk_idx += 1
     return acc.metrics()

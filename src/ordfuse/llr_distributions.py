@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import refine_extrema
 from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -171,55 +170,6 @@ def correction_term(y, law: LlrLaw):
     a = np.abs(np.asarray(y, dtype=float))
     out = _log_central_mass(a, Hypothesis.H1, law) - _log_central_mass(a, Hypothesis.H0, law)
     out = np.where(a < _ZERO_LIMIT, 0.0, out)
-    return out if out.ndim else float(out)
-
-
-def correction_extrema(y_max: float, law: LlrLaw, grid_size: int = 512) -> tuple[float, float]:
-    """(min, max) of the correction term over [0, y_max].
-
-    Uniform grid scan followed by golden-section refinement around the best
-    cells; endpoints stay candidates. Accurate to well below 1e-6 for the
-    smooth laws supported here. The scan concentrates on the range where the
-    term varies; beyond the law's effective support it is flat near zero and
-    only the endpoint needs evaluating.
-    """
-    if y_max < 0:
-        raise ValueError("y_max must be >= 0")
-    if y_max == 0.0:
-        return 0.0, 0.0
-    flat_beyond = max(abs(v) for v in law.effective_range(1e-14))
-    grid = np.linspace(0.0, min(y_max, flat_beyond), grid_size)
-    values = np.asarray(correction_term(grid, law), dtype=float)
-    lo, hi = refine_extrema(lambda t: float(correction_term(t, law)), grid, values)
-    if y_max > flat_beyond:
-        tail = float(correction_term(y_max, law))
-        lo, hi = min(lo, tail), max(hi, tail)
-    return lo, hi
-
-
-def log_density_ratio(y, law: LlrLaw):
-    """log f(y|H1) - log f(y|H0), reduced in closed form.
-
-    For both supported families the ratio collapses to the identity: the
-    chi-square scale pair satisfies 1/scale1 - 1/scale0 = -2 up to the shift
-    normalization, and the Gaussian pair is symmetric about zero.
-    """
-    y = np.asarray(y, dtype=float)
-    out = y.copy()
-    return out if out.ndim else float(out)
-
-
-def staged_correction(y, k: int, config: ScenarioConfig, law: LlrLaw):
-    """Correction combining unreported-sensor mass with remaining-stage density ratio.
-
-    Equals (M-K) * correction_term(|y|) + (K-k) * log_density_ratio(y);
-    identically zero when M == K and k == K.
-    """
-    if not 1 <= k <= config.K:
-        raise ValueError("stage k must satisfy 1 <= k <= K")
-    y = np.asarray(y, dtype=float)
-    out = (config.M - config.K) * np.asarray(correction_term(np.abs(y), law), dtype=float) \
-        + (config.K - k) * np.asarray(log_density_ratio(y, law), dtype=float)
     return out if out.ndim else float(out)
 
 

@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .llr_distributions import LlrLaw, central_mass, exceed_prob, law_for_sensor, llr_pdf
+from .llr_distributions import LlrLaw, exceed_prob, law_for_sensor, llr_pdf
 from .sensing_model import Hypothesis, ScenarioConfig
-
-
-class UndefinedConditional(ValueError):
-    """Conditional density requested at a point of zero marginal density."""
 
 
 @dataclass(frozen=True)
@@ -60,26 +56,6 @@ def weighted_subset_coeffs(p: np.ndarray, q: np.ndarray, m_max: int) -> np.ndarr
     return c
 
 
-def subset_weight_sum(
-    m_sub: int,
-    hyp: Hypothesis,
-    hi_arg: float,
-    lo_arg: float,
-    excluded,
-    ensemble: SensorEnsemble,
-) -> float:
-    """Sum over size-m_sub subsets of the non-excluded sensors of the mixed
-    magnitude-tail weights: exceed probability at hi_arg for members, central
-    mass at lo_arg for non-members."""
-    excluded = frozenset(excluded)
-    included = [v for v in range(ensemble.m) if v not in excluded]
-    if not 0 <= m_sub <= len(included):
-        raise ValueError(f"subset size {m_sub} out of range for {len(included)} sensors")
-    p = np.array([exceed_prob(hi_arg, hyp, ensemble.laws[v]) for v in included])
-    q = np.array([1.0 - exceed_prob(lo_arg, hyp, ensemble.laws[v]) for v in included])
-    return float(weighted_subset_coeffs(p, q, m_sub)[m_sub])
-
-
 def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
     """Marginal density of the rank-m LLR (m-th largest magnitude) under hyp."""
     if not 1 <= m <= ensemble.m:
@@ -101,107 +77,3 @@ def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
         coeff = weighted_subset_coeffs(b_all[keep], 1.0 - b_all[keep], m - 1)[m - 1]
         out = out + f_all[r] * coeff
     return out if out.ndim else float(out)
-
-
-def joint_consecutive_pdf(
-    m: int, alpha: float, gamma: float, hyp: Hypothesis, ensemble: SensorEnsemble
-) -> float:
-    """Joint density of (rank-m, rank-(m-1)) LLRs at (alpha, gamma) under hyp.
-
-    Zero whenever |alpha| > |gamma|: a later report can never exceed an
-    earlier one in magnitude.
-    """
-    if m < 2:
-        raise ValueError("consecutive-rank joint needs m >= 2")
-    if m > ensemble.m:
-        raise ValueError(f"rank {m} out of range for {ensemble.m} sensors")
-    if abs(alpha) > abs(gamma):
-        return 0.0
-    n_sensors = ensemble.m
-    if ensemble.is_identical:
-        law = ensemble.laws[0]
-        b_gamma = exceed_prob(gamma, hyp, law)
-        b_alpha = exceed_prob(alpha, hyp, law)
-        return (
-            n_sensors
-            * (n_sensors - 1)
-            * llr_pdf(alpha, hyp, law)
-            * llr_pdf(gamma, hyp, law)
-            * math.comb(n_sensors - 2, m - 2)
-            * b_gamma ** (m - 2)
-            * (1.0 - b_alpha) ** (n_sensors - m)
-        )
-    total = 0.0
-    for k in range(n_sensors):
-        f_k = llr_pdf(alpha, hyp, ensemble.laws[k])
-        if f_k == 0.0:
-            continue
-        for j in range(n_sensors):
-            if j == k:
-                continue
-            f_j = llr_pdf(gamma, hyp, ensemble.laws[j])
-            if f_j == 0.0:
-                continue
-            keep = [v for v in range(n_sensors) if v != k and v != j]
-            p = np.array([exceed_prob(gamma, hyp, ensemble.laws[v]) for v in keep])
-            q = np.array([1.0 - exceed_prob(alpha, hyp, ensemble.laws[v]) for v in keep])
-            coeff = weighted_subset_coeffs(p, q, m - 2)[m - 2] if keep else (1.0 if m == 2 else 0.0)
-            total += f_k * f_j * coeff
-    return float(total)
-
-
-def conditional_pdf(
-    m: int, alpha: float, gamma: float, hyp: Hypothesis, ensemble: SensorEnsemble
-) -> float:
-    """Density of the rank-m LLR at alpha given the rank-(m-1) LLR equals gamma."""
-    marginal = ranked_pdf(m - 1, gamma, hyp, ensemble)
-    if marginal <= 0.0:
-        raise UndefinedConditional(
-            f"rank-{m - 1} marginal vanishes at {gamma}; conditional undefined"
-        )
-    return joint_consecutive_pdf(m, alpha, gamma, hyp, ensemble) / marginal
-
-
-def conditional_pdf_closed_form(
-    m: int, alpha: float, gamma: float, hyp: Hypothesis, ensemble: SensorEnsemble
-) -> float:
-    """Identical-sensor closed form of the consecutive-rank conditional density."""
-    if not ensemble.is_identical:
-        raise ValueError("closed form requires identical sensors")
-    if m < 2 or m > ensemble.m:
-        raise ValueError("rank out of range")
-    if abs(alpha) > abs(gamma):
-        return 0.0
-    law = ensemble.laws[0]
-    n_sensors = ensemble.m
-    b_alpha = exceed_prob(alpha, hyp, law)
-    b_gamma = exceed_prob(gamma, hyp, law)
-    if b_gamma >= 1.0:
-        raise UndefinedConditional("conditioning value has zero central mass")
-    return (
-        (n_sensors + 1 - m)
-        * llr_pdf(alpha, hyp, law)
-        * (1.0 - b_alpha) ** (n_sensors - m)
-        / (1.0 - b_gamma) ** (n_sensors - m + 1)
-    )
-
-
-def joint_topk_pdf(values, hyp: Hypothesis, ensemble: SensorEnsemble) -> float:
-    """Joint density of the top-k magnitude-ordered LLR vector (identical sensors).
-
-    Includes the M!/(M-k)! rank-assignment factor so the density integrates
-    to one over the ordered region.
-    """
-    if not ensemble.is_identical:
-        raise ValueError("joint top-k density implemented for identical sensors only")
-    y = np.asarray(values, dtype=float)
-    k = y.size
-    if not 1 <= k <= ensemble.m:
-        raise ValueError("need between 1 and M ordered values")
-    mags = np.abs(y)
-    if np.any(mags[1:] > mags[:-1]):
-        return 0.0
-    law = ensemble.laws[0]
-    dens = np.asarray(llr_pdf(y, hyp, law), dtype=float)
-    mass = central_mass(mags[-1], hyp, law)
-    return float(math.perm(ensemble.m, k) * np.prod(dens) * mass ** (ensemble.m - k))

@@ -1,0 +1,257 @@
+"""Reference implementations that the tests check the runtime against.
+
+Nothing in the runtime imports this module and `ordfuse` does not re-export
+it. Each function computes, by a slower or more direct route, a quantity the
+runtime gets elsewhere: the correction-term extrema (`CorrectionEnvelope`),
+the belief update (`run_policy_batch`), and the exact rank densities and
+subset sums behind the solver's marginal recursion.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .dp_policy import PosteriorUndefined
+from .llr_distributions import LlrLaw, central_mass, correction_term, exceed_prob, llr_pdf
+from .order_stats import SensorEnsemble, ranked_pdf, weighted_subset_coeffs
+from .sensing_model import Hypothesis
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+class UndefinedConditional(ValueError):
+    """Conditional density requested at a point of zero marginal density."""
+
+
+# ---------------------------------------------------------------------------
+# Correction-term extrema
+
+
+def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+    """Abscissa of a local minimum of f on [lo, hi] (unimodal on the bracket)."""
+    a, b = float(lo), float(hi)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a < tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def refine_extrema(f, grid: np.ndarray, values: np.ndarray, tol: float = 1e-10):
+    """(min, max) of f over [grid[0], grid[-1]] via local refinement around best cells.
+
+    `values` holds f on `grid`. Refines one bracket around the grid argmin and
+    argmax each; endpoints are kept as candidates.
+    """
+    i_min = int(np.argmin(values))
+    i_max = int(np.argmax(values))
+    out = []
+    for idx, sign in ((i_min, 1.0), (i_max, -1.0)):
+        lo = grid[max(idx - 1, 0)]
+        hi = grid[min(idx + 1, len(grid) - 1)]
+        best = values[idx]
+        if hi > lo:
+            x = golden_section_min(lambda t: sign * f(t), lo, hi, tol=tol)
+            cand = f(x)
+            if sign * cand < sign * best:
+                best = cand
+        out.append(best)
+    return float(out[0]), float(out[1])
+
+
+def correction_extrema(y_max: float, law: LlrLaw, grid_size: int = 512) -> tuple[float, float]:
+    """(min, max) of the correction term over [0, y_max].
+
+    Uniform grid scan followed by golden-section refinement around the best
+    cells; endpoints stay candidates. Accurate to well below 1e-6 for the
+    smooth laws supported here. The scan concentrates on the range where the
+    term varies; beyond the law's effective support it is flat near zero and
+    only the endpoint needs evaluating.
+    """
+    if y_max < 0:
+        raise ValueError("y_max must be >= 0")
+    if y_max == 0.0:
+        return 0.0, 0.0
+    flat_beyond = max(abs(v) for v in law.effective_range(1e-14))
+    grid = np.linspace(0.0, min(y_max, flat_beyond), grid_size)
+    values = np.asarray(correction_term(grid, law), dtype=float)
+    lo, hi = refine_extrema(lambda t: float(correction_term(t, law)), grid, values)
+    if y_max > flat_beyond:
+        tail = float(correction_term(y_max, law))
+        lo, hi = min(lo, tail), max(hi, tail)
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Belief updates
+
+
+def posterior_update(pi_k: float, y: float, k: int, ensemble: SensorEnsemble) -> float:
+    """Belief update with the rank-(k+1) marginal densities (k reports absorbed)."""
+    rank = k + 1
+    f0 = float(ranked_pdf(rank, y, Hypothesis.H0, ensemble))
+    f1 = float(ranked_pdf(rank, y, Hypothesis.H1, ensemble))
+    den = pi_k * f0 + (1.0 - pi_k) * f1
+    if den <= 0.0:
+        raise PosteriorUndefined(f"predictive density vanishes at rank {rank}, y={y}")
+    return pi_k * f0 / den
+
+
+def posterior_update_exact(
+    pi_k: float, y_prev: float | None, y: float, k: int, ensemble: SensorEnsemble
+) -> float:
+    """Belief update with the exact conditional rank densities.
+
+    k indexes the incoming observation (1-based); the first stage has nothing
+    to condition on and reduces to the marginal update.
+    """
+    if k == 1:
+        return posterior_update(pi_k, y, 0, ensemble)
+    if y_prev is None:
+        raise ValueError("conditioning value required for k >= 2")
+    f0 = conditional_pdf(k, y, y_prev, Hypothesis.H0, ensemble)
+    f1 = conditional_pdf(k, y, y_prev, Hypothesis.H1, ensemble)
+    den = pi_k * f0 + (1.0 - pi_k) * f1
+    if den <= 0.0:
+        raise PosteriorUndefined(f"conditional predictive density vanishes at stage {k}")
+    return pi_k * f0 / den
+
+
+# ---------------------------------------------------------------------------
+# Exact rank densities and subset sums
+
+
+def subset_weight_sum(
+    m_sub: int,
+    hyp: Hypothesis,
+    hi_arg: float,
+    lo_arg: float,
+    excluded,
+    ensemble: SensorEnsemble,
+) -> float:
+    """Sum over size-m_sub subsets of the non-excluded sensors of the mixed
+    magnitude-tail weights: exceed probability at hi_arg for members, central
+    mass at lo_arg for non-members."""
+    excluded = frozenset(excluded)
+    included = [v for v in range(ensemble.m) if v not in excluded]
+    if not 0 <= m_sub <= len(included):
+        raise ValueError(f"subset size {m_sub} out of range for {len(included)} sensors")
+    p = np.array([exceed_prob(hi_arg, hyp, ensemble.laws[v]) for v in included])
+    q = np.array([1.0 - exceed_prob(lo_arg, hyp, ensemble.laws[v]) for v in included])
+    return float(weighted_subset_coeffs(p, q, m_sub)[m_sub])
+
+
+def joint_consecutive_pdf(
+    m: int, alpha: float, gamma: float, hyp: Hypothesis, ensemble: SensorEnsemble
+) -> float:
+    """Joint density of (rank-m, rank-(m-1)) LLRs at (alpha, gamma) under hyp.
+
+    Zero whenever |alpha| > |gamma|: a later report can never exceed an
+    earlier one in magnitude.
+    """
+    if m < 2:
+        raise ValueError("consecutive-rank joint needs m >= 2")
+    if m > ensemble.m:
+        raise ValueError(f"rank {m} out of range for {ensemble.m} sensors")
+    if abs(alpha) > abs(gamma):
+        return 0.0
+    n_sensors = ensemble.m
+    if ensemble.is_identical:
+        law = ensemble.laws[0]
+        b_gamma = exceed_prob(gamma, hyp, law)
+        b_alpha = exceed_prob(alpha, hyp, law)
+        return (
+            n_sensors
+            * (n_sensors - 1)
+            * llr_pdf(alpha, hyp, law)
+            * llr_pdf(gamma, hyp, law)
+            * math.comb(n_sensors - 2, m - 2)
+            * b_gamma ** (m - 2)
+            * (1.0 - b_alpha) ** (n_sensors - m)
+        )
+    total = 0.0
+    for k in range(n_sensors):
+        f_k = llr_pdf(alpha, hyp, ensemble.laws[k])
+        if f_k == 0.0:
+            continue
+        for j in range(n_sensors):
+            if j == k:
+                continue
+            f_j = llr_pdf(gamma, hyp, ensemble.laws[j])
+            if f_j == 0.0:
+                continue
+            keep = [v for v in range(n_sensors) if v != k and v != j]
+            p = np.array([exceed_prob(gamma, hyp, ensemble.laws[v]) for v in keep])
+            q = np.array([1.0 - exceed_prob(alpha, hyp, ensemble.laws[v]) for v in keep])
+            coeff = weighted_subset_coeffs(p, q, m - 2)[m - 2] if keep else (1.0 if m == 2 else 0.0)
+            total += f_k * f_j * coeff
+    return float(total)
+
+
+def conditional_pdf(
+    m: int, alpha: float, gamma: float, hyp: Hypothesis, ensemble: SensorEnsemble
+) -> float:
+    """Density of the rank-m LLR at alpha given the rank-(m-1) LLR equals gamma."""
+    marginal = ranked_pdf(m - 1, gamma, hyp, ensemble)
+    if marginal <= 0.0:
+        raise UndefinedConditional(
+            f"rank-{m - 1} marginal vanishes at {gamma}; conditional undefined"
+        )
+    return joint_consecutive_pdf(m, alpha, gamma, hyp, ensemble) / marginal
+
+
+def conditional_pdf_closed_form(
+    m: int, alpha: float, gamma: float, hyp: Hypothesis, ensemble: SensorEnsemble
+) -> float:
+    """Identical-sensor closed form of the consecutive-rank conditional density."""
+    if not ensemble.is_identical:
+        raise ValueError("closed form requires identical sensors")
+    if m < 2 or m > ensemble.m:
+        raise ValueError("rank out of range")
+    if abs(alpha) > abs(gamma):
+        return 0.0
+    law = ensemble.laws[0]
+    n_sensors = ensemble.m
+    b_alpha = exceed_prob(alpha, hyp, law)
+    b_gamma = exceed_prob(gamma, hyp, law)
+    if b_gamma >= 1.0:
+        raise UndefinedConditional("conditioning value has zero central mass")
+    return (
+        (n_sensors + 1 - m)
+        * llr_pdf(alpha, hyp, law)
+        * (1.0 - b_alpha) ** (n_sensors - m)
+        / (1.0 - b_gamma) ** (n_sensors - m + 1)
+    )
+
+
+def joint_topk_pdf(values, hyp: Hypothesis, ensemble: SensorEnsemble) -> float:
+    """Joint density of the top-k magnitude-ordered LLR vector (identical sensors).
+
+    Includes the M!/(M-k)! rank-assignment factor so the density integrates
+    to one over the ordered region.
+    """
+    if not ensemble.is_identical:
+        raise ValueError("joint top-k density implemented for identical sensors only")
+    y = np.asarray(values, dtype=float)
+    k = y.size
+    if not 1 <= k <= ensemble.m:
+        raise ValueError("need between 1 and M ordered values")
+    mags = np.abs(y)
+    if np.any(mags[1:] > mags[:-1]):
+        return 0.0
+    law = ensemble.laws[0]
+    dens = np.asarray(llr_pdf(y, hyp, law), dtype=float)
+    mass = central_mass(mags[-1], hyp, law)
+    return float(math.perm(ensemble.m, k) * np.prod(dens) * mass ** (ensemble.m - k))

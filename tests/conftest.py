@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from ordfuse.defaults import (
-    default_error_min_costs,
-    default_fading,
-    default_scenario,
-    default_throughput_costs,
-)
+from ordfuse.defaults import default_fading, default_scenario
 from ordfuse.dp_policy import CostMode, CostModel, solve_backward, solve_one_threshold
 from ordfuse.llr_distributions import law_for_sensor
 from ordfuse.order_stats import SensorEnsemble
@@ -59,17 +54,17 @@ def policy_one_threshold(scenario, ensemble, zero_cost_throughput):
 
 @pytest.fixture(scope="session")
 def policy_error_min(scenario, ensemble):
-    return solve_backward(scenario, default_error_min_costs(c=0.0001), ensemble)
+    return solve_backward(scenario, CostModel.error_min(c=0.0001), ensemble)
 
 
 @pytest.fixture(scope="session")
 def policy_error_min_free(scenario, ensemble):
-    return solve_backward(scenario, default_error_min_costs(c=0.0), ensemble)
+    return solve_backward(scenario, CostModel.error_min(c=0.0), ensemble)
 
 
 @pytest.fixture(scope="session")
 def policy_throughput_default(scenario, ensemble):
-    return solve_backward(scenario, default_throughput_costs(c=0.0001), ensemble)
+    return solve_backward(scenario, CostModel.throughput(c=0.0001), ensemble)
 
 
 @pytest.fixture(scope="session")

@@ -12,17 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ordfuse.defaults import (
-    default_error_min_costs,
-    default_fading,
-    default_scenario,
-    default_throughput_costs,
-)
+from ordfuse.defaults import default_fading, default_scenario
 from ordfuse.dp_policy import (
     CostMode,
     CostModel,
     concavity_check,
-    posterior_update_exact,
     run_policy_batch,
     solve_backward,
     solve_one_threshold,
@@ -36,12 +30,8 @@ from ordfuse.fusion_sim import (
     sweep,
 )
 from ordfuse.llr_distributions import LlrLaw, correction_term, exceed_prob, llr_pdf
-from ordfuse.order_stats import (
-    SensorEnsemble,
-    joint_topk_pdf,
-    ranked_pdf,
-    subset_weight_sum,
-)
+from ordfuse.order_stats import SensorEnsemble, ranked_pdf
+from ordfuse.reference import joint_topk_pdf, posterior_update_exact, subset_weight_sum
 from ordfuse.sensing_model import Hypothesis, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -68,7 +58,7 @@ def throughput_policies(zero_cost_model):
 @pytest.fixture(scope="module")
 def policy_m60():
     cfg = default_scenario(M=60)
-    cm = default_throughput_costs(c=0.0001)
+    cm = CostModel.throughput(c=0.0001)
     ens = SensorEnsemble.from_config(cfg)
     return cfg, cm, solve_backward(cfg, cm, ens, grid_size=1001)
 
@@ -138,11 +128,11 @@ def test_criterion_4_genie_throughput_limit(policy_m60):
 def test_criterion_5_forced_horizon():
     started = time.time()
     cfg = default_scenario()
-    det_free = make_detector("dp", cfg, default_error_min_costs(c=0.0))
+    det_free = make_detector("dp", cfg, CostModel.error_min(c=0.0))
     met_free = run_monte_carlo(cfg, det_free, 100_000, seed=555)
     time_free = cfg.tau_N + met_free.avg_stage * cfg.tau
 
-    det_paid = make_detector("dp", cfg, default_error_min_costs(c=0.0001))
+    det_paid = make_detector("dp", cfg, CostModel.error_min(c=0.0001))
     met_paid = run_monte_carlo(cfg, det_paid, 100_000, seed=555)
     time_paid = cfg.tau_N + met_paid.avg_stage * cfg.tau
 
@@ -235,7 +225,7 @@ def test_criterion_7_property_suite(throughput_policies, policy_m60):
 
     # (f) concavity of every throughput solve used in this suite
     cfg60, cm60, pol60 = policy_m60
-    pol_paid = solve_backward(cfg, default_throughput_costs(c=0.0001), ens)
+    pol_paid = solve_backward(cfg, CostModel.throughput(c=0.0001), ens)
     checks["f:concavity"] = (
         concavity_check(two) and concavity_check(pol60) and concavity_check(pol_paid)
     )
@@ -266,7 +256,7 @@ def test_criterion_8_figure_trends():
     details.append(f"p_error vs M {['%.4f' % v for v in p]} non-increasing: {trend_pe}")
 
     # DP probes no more sensors than the sequential band detector for M >= 10
-    cm = default_error_min_costs(c=0.0001)
+    cm = CostModel.error_min(c=0.0001)
     trend_probe = True
     for m in (10, 14):
         cfg = default_scenario(M=m)

@@ -4,24 +4,18 @@ import numpy as np
 import pytest
 
 from ordfuse.bs_thresholds import (
-    DecisionOutcome,
     decide_batch,
     map_block_batch,
     map_block_decision,
     run_detector,
-    run_detector_generalized,
     thresholds_at_stage,
 )
 from ordfuse import bs_thresholds, llr_distributions
 from ordfuse.bs_thresholds import _stage_extrema
 from ordfuse.defaults import default_scenario
 from ordfuse.fusion_sim import compare_with_block_oracle
-from ordfuse.llr_distributions import (
-    correction_extrema,
-    correction_term,
-    envelope_for,
-    law_for_sensor,
-)
+from ordfuse.llr_distributions import correction_term, envelope_for, law_for_sensor
+from ordfuse.reference import correction_extrema
 from ordfuse.sensing_model import Hypothesis, MeasurementModel, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -68,8 +62,25 @@ class TestThresholdsAtStage:
         with pytest.raises(ValueError):
             thresholds_at_stage(0, 1.0, scenario, law)
 
+    @pytest.mark.parametrize("which", ["energy", "shift"])
+    def test_matches_refined_extrema_thresholds(self, which, request):
+        # thresholds read the envelope; the golden-refined reference extrema
+        # give the same band to within the envelope's 1e-6 certification
+        cfg = request.getfixturevalue("scenario" if which == "energy" else "shift_scenario")
+        law = law_for_sensor(cfg, 0)
+        rng = np.random.default_rng(61)
+        logprior = cfg.log_prior_ratio()
+        for _ in range(40):
+            k = int(rng.integers(1, cfg.K))
+            y = float(rng.uniform(0.0, 3.0 * law.shift))
+            lo_c, hi_c = correction_extrema(y, law)
+            span = (cfg.K - k) * y
+            lo, hi = thresholds_at_stage(k, y, cfg, law)
+            assert lo == pytest.approx(logprior - span - (cfg.M - cfg.K) * hi_c, abs=1e-6)
+            assert hi == pytest.approx(logprior + span - (cfg.M - cfg.K) * lo_c, abs=1e-6)
+
     def test_matches_batch_internal_extrema(self, scenario, law):
-        # the golden-refined op and the envelope-based batch path agree
+        # the golden-refined reference and the envelope-based batch path agree
         _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(2), 64)
         absy = np.abs(ordered[:, : scenario.K])
         rho_min, rho_max, _ = _stage_extrema(absy, law)
@@ -147,6 +158,12 @@ class TestRunDetector:
         truth, _, ordered, _ = draw_slots(scenario, np.random.default_rng(11), 20_000)
         d_seq, _ = decide_batch(ordered, scenario, law)
         d_blk = map_block_batch(ordered, scenario, law)
+        assert np.array_equal(d_seq, d_blk)
+
+    def test_shift_in_mean_matches_block_rule(self, shift_scenario, shift_law):
+        _, _, ordered, _ = draw_slots(shift_scenario, np.random.default_rng(19), 10_000)
+        d_seq, _ = decide_batch(ordered, shift_scenario, shift_law)
+        d_blk = map_block_batch(ordered, shift_scenario, shift_law)
         assert np.array_equal(d_seq, d_blk)
 
     def test_single_slot_wrapper_matches_batch(self, scenario, law):
@@ -237,40 +254,6 @@ class TestMapBlockDecision:
         p_pipeline = float(np.mean(d2 != truth2))
         se = math.sqrt(2 * p_oracle * (1 - p_oracle) / n)
         assert abs(p_pipeline - p_oracle) < 3.0 * se
-
-
-class TestGeneralizedDetector:
-    def test_energy_model_identical_outcomes(self, scenario, law):
-        _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(17), 10_000)
-        d_std, s_std = decide_batch(ordered, scenario, law)
-        d_gen, s_gen = decide_batch(ordered, scenario, law, generalized=True)
-        assert np.array_equal(d_std, d_gen)
-        assert np.array_equal(s_std, s_gen)
-
-    def test_shift_in_mean_matches_block_rule(self, shift_scenario, shift_law):
-        truth, _, ordered, _ = draw_slots(shift_scenario, np.random.default_rng(19), 10_000)
-        d_gen, _ = decide_batch(ordered, shift_scenario, shift_law, generalized=True)
-        d_blk = map_block_batch(ordered, shift_scenario, shift_law)
-        assert np.array_equal(d_gen, d_blk)
-
-    def test_all_report_matches_plain_band(self, shift_law):
-        # with every sensor reporting, thresholds reduce to prior +- (K-k)|y_k|
-        cfg = default_scenario(
-            M=8, K=8,
-            measurement_model=MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
-            mu0=(-1.0,) * 8, mu1=(1.0,) * 8,
-        )
-        _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(23), 2_000)
-        d_gen, s_gen = decide_batch(ordered, cfg, shift_law, generalized=True)
-        d_std, s_std = decide_batch(ordered, cfg, shift_law)
-        assert np.array_equal(d_gen, d_std)
-        assert np.array_equal(s_gen, s_std)
-
-    def test_single_slot_wrapper(self, shift_scenario, shift_law):
-        _, _, ordered, _ = draw_slots(shift_scenario, np.random.default_rng(29), 1)
-        out = run_detector_generalized(ordered[0], shift_scenario, shift_law)
-        assert isinstance(out, DecisionOutcome)
-        assert 1 <= out.stage <= shift_scenario.K
 
 
 class TestStoppingBehaviour:

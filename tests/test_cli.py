@@ -199,6 +199,35 @@ class TestMain:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "pi0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detector", ["bs", "block-map"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_band_detector_needs_identical_sensors_exit_2(
+        self, tmp_path, capsys, command, detector
+    ):
+        cfg = _write(
+            tmp_path,
+            f"[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\ndetector = {detector}\n",
+        )
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trials", "10", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "identical sensors" in capsys.readouterr().err
+
+    def test_dp_on_non_identical_sensors_validates(self, tmp_path):
+        cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\ndetector = dp\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_removed_detector_kind_exit_2(self, tmp_path, capsys, command):
+        # the generalized band detector made the same decisions as bs and is gone
+        cfg = _write(tmp_path, "[experiment]\ndetector = bs-generalized\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trials", "10", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "detector must be one of" in capsys.readouterr().err
+
     def test_solve_writes_policy(self, tmp_path):
         cfg = _write(tmp_path, "[cost]\nmode = weighted-throughput\n")
         out = tmp_path / "policy.json"

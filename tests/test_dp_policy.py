@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ordfuse.defaults import default_error_min_costs, default_scenario, default_throughput_costs
+from ordfuse.defaults import default_scenario
 from ordfuse.dp_policy import (
     Action,
     CostMode,
@@ -13,14 +13,13 @@ from ordfuse.dp_policy import (
     accumulated_llr_equivalent,
     concavity_check,
     decision_cost,
-    posterior_update,
-    posterior_update_exact,
     run_policy,
     run_policy_batch,
     solve_backward,
     solve_one_threshold,
 )
-from ordfuse.order_stats import SensorEnsemble, joint_topk_pdf, ranked_pdf
+from ordfuse.order_stats import SensorEnsemble, ranked_pdf
+from ordfuse.reference import joint_topk_pdf, posterior_update, posterior_update_exact
 from ordfuse.sensing_model import Hypothesis, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -38,15 +37,15 @@ class TestDecisionCost:
     def test_throughput_hand_value(self):
         # -(1-omega) R_s eta_s (tau_s - tau_N - tau)/tau_s = -0.5 * 0.7
         cfg = default_scenario()
-        cm = default_throughput_costs(omega=0.5)
+        cm = CostModel.throughput(omega=0.5)
         assert decision_cost(1, H0, H0, cm, cfg) == pytest.approx(-0.35, rel=1e-12)
 
     def test_false_free_with_zero_costs(self, scenario):
-        cm = default_throughput_costs()
+        cm = CostModel.throughput()
         assert decision_cost(3, H1, H0, cm, scenario) == 0.0
 
     def test_busy_detection_reward(self, scenario):
-        cm = default_throughput_costs(omega=0.5)
+        cm = CostModel.throughput(omega=0.5)
         assert decision_cost(2, H1, H1, cm, scenario) == pytest.approx(-0.5)
 
     def test_collision_penalty_enters(self, scenario):
@@ -208,7 +207,7 @@ class TestSolveBackward:
         assert not concavity_check(corrupted)
 
     def test_grid_refinement_stability(self, scenario, ensemble):
-        cm = default_throughput_costs(c=0.0001)
+        cm = CostModel.throughput(c=0.0001)
         coarse = solve_backward(scenario, cm, ensemble, grid_size=1001)
         fine = solve_backward(scenario, cm, ensemble, grid_size=2001)
         for k in range(scenario.K):
@@ -234,7 +233,7 @@ class TestSolveBackward:
 class TestOneThreshold:
     def test_requires_zero_cost_model(self, scenario, ensemble):
         with pytest.raises(ValueError, match="one-threshold"):
-            solve_one_threshold(scenario, default_throughput_costs(c=0.0001), ensemble)
+            solve_one_threshold(scenario, CostModel.throughput(c=0.0001), ensemble)
         with pytest.raises(ValueError, match="one-threshold"):
             solve_one_threshold(scenario, CostModel.error_min(c=0.0), ensemble)
 
@@ -275,17 +274,34 @@ class TestRunPolicy:
         assert out.stage == 1
         assert out.sensing_time == pytest.approx(scenario.tau_N + scenario.tau)
 
-    def test_single_and_batch_agree(self, scenario, ensemble, policy_error_min):
-        _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(53), 50)
-        declared, stage = run_policy_batch(ordered, policy_error_min, ensemble, scenario.pi0)
+    @staticmethod
+    def _assert_single_matches_batch(cfg, ensemble, policy):
+        _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(53), 50)
+        declared, stage = run_policy_batch(ordered, policy, ensemble, cfg.pi0)
         for i in range(50):
-            out = run_policy(ordered[i], policy_error_min, ensemble, scenario.pi0)
+            out = run_policy(ordered[i], policy, ensemble, cfg.pi0)
             assert out.declared == declared[i]
             assert out.stage == stage[i]
+            assert out.sensing_time == policy.sensing_time(int(stage[i]))
+
+    def test_single_and_batch_agree(self, scenario, ensemble, policy_error_min):
+        self._assert_single_matches_batch(scenario, ensemble, policy_error_min)
+
+    def test_single_and_batch_agree_non_identical(self):
+        cfg = default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
+        ens = SensorEnsemble.from_config(cfg)
+        assert not ens.is_identical
+        policy = solve_backward(cfg, CostModel.error_min(c=0.0001), ens)
+        self._assert_single_matches_batch(cfg, ens, policy)
+
+    def test_report_outside_support_raises(self, ensemble, policy_error_min):
+        # -5.0 lies below the energy law's support, so no rank density is positive
+        with pytest.raises(PosteriorUndefined):
+            run_policy([-5.0] * 8, policy_error_min, ensemble, pi0=0.5)
 
     def test_average_stage_decreases_with_m(self):
         # more sensors concentrate the top-ranked evidence; probes shrink toward one
-        cm = default_error_min_costs(c=0.0001)
+        cm = CostModel.error_min(c=0.0001)
         means = []
         for m in (10, 20, 30):
             cfg = default_scenario(M=m)

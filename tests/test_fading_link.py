@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ordfuse.defaults import default_error_min_costs, default_fading, default_scenario
+from ordfuse.defaults import default_fading, default_scenario
+from ordfuse.dp_policy import CostModel
 from ordfuse.fading_link import (
     FadingConfig,
     effective_config,
@@ -145,7 +146,7 @@ class TestEffectiveConfig:
 class TestFadingSimulation:
     def test_probing_increases_under_fading(self):
         # fewer participating sensors make the ranked reports less informative
-        cm = default_error_min_costs()
+        cm = CostModel.error_min()
         for m in (10, 16):
             cfg = default_scenario(M=m)
             met_fade = run_monte_carlo_fading(cfg, default_fading(m), "dp", 30_000,
@@ -158,7 +159,7 @@ class TestFadingSimulation:
 
     def test_matches_reduced_sensor_count_on_error(self):
         # fading with M sensors tracks a clean network of ~ceil(M delta) sensors
-        cm = default_error_min_costs()
+        cm = CostModel.error_min()
         cfg10 = default_scenario(M=10)
         met_fade = run_monte_carlo_fading(cfg10, default_fading(10), "dp", 40_000,
                                           seed=8, cost_model=cm)

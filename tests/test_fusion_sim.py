@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ordfuse.defaults import default_error_min_costs, default_scenario, default_throughput_costs
+from ordfuse.defaults import default_scenario
+from ordfuse.dp_policy import CostModel
 from ordfuse.fusion_sim import (
     AgreementReport,
     BlockMapDetector,
@@ -84,7 +85,7 @@ class TestRunMonteCarlo:
         for detector in (
             SequentialDetector(scenario, law),
             BlockMapDetector(scenario, law),
-            make_detector("dp", scenario, default_throughput_costs()),
+            make_detector("dp", scenario, CostModel.throughput()),
         ):
             met = run_monte_carlo(scenario, detector, 20_000, seed=3)
             se = math.sqrt(0.25 / 20_000)
@@ -102,9 +103,9 @@ class TestRunMonteCarlo:
         assert a.decision_confusion == b.decision_confusion
 
     def test_success_probabilities_enter(self, scenario, law):
-        cm = default_throughput_costs(eta_s=0.5)
+        cm = CostModel.throughput(eta_s=0.5)
         met_full = run_monte_carlo(scenario, SequentialDetector(scenario, law), 20_000,
-                                   seed=6, cost_model=default_throughput_costs())
+                                   seed=6, cost_model=CostModel.throughput())
         met_half = run_monte_carlo(scenario, SequentialDetector(scenario, law), 20_000,
                                    seed=6, cost_model=cm)
         ratio = met_half.norm_throughput_secondary / met_full.norm_throughput_secondary
@@ -128,8 +129,8 @@ class TestCompareWithBlockOracle:
         assert report.agreement_fraction == 1.0
         assert report.n_disagreements == 0
 
-    def test_shift_in_mean_generalized(self, shift_scenario):
-        report = compare_with_block_oracle(shift_scenario, 10_000, seed=9, generalized=True)
+    def test_shift_in_mean_agreement(self, shift_scenario):
+        report = compare_with_block_oracle(shift_scenario, 10_000, seed=9)
         assert report.agreement_fraction == 1.0
 
 
@@ -142,14 +143,14 @@ class TestSweep:
             assert p[i + 1] <= p[i] + 3 * (se[i] + se[i + 1])
 
     def test_zero_cost_never_stops_early(self, scenario):
-        cm = default_error_min_costs()
+        cm = CostModel.error_min()
         results = sweep("c", [0.0], scenario, "dp", 5_000, seed=11, cost_model=cm)
         _, met = results[0]
         assert met.stage_histogram[scenario.K] == 5_000
         assert scenario.tau_N + met.avg_stage * scenario.tau == pytest.approx(1.0)
 
     def test_sensing_time_decreases_with_cost(self, scenario):
-        cm = default_error_min_costs()
+        cm = CostModel.error_min()
         results = sweep("c", [0.0, 1e-4, 1e-2], scenario, "dp", 10_000, seed=12, cost_model=cm)
         times = [scenario.tau_N + met.avg_stage * scenario.tau for _, met in results]
         assert times[0] == pytest.approx(1.0)
@@ -169,7 +170,7 @@ class TestSweep:
         assert high.p_error < low.p_error
 
     def test_omega_axis_shifts_throughput_balance(self, scenario):
-        cm = default_throughput_costs()
+        cm = CostModel.throughput()
         res = sweep("omega", [0.5, 0.999], scenario, "dp", 20_000, seed=16, cost_model=cm)
         thr_p = [met.norm_throughput_primary for _, met in res]
         thr_s = [met.norm_throughput_secondary for _, met in res]
@@ -188,13 +189,12 @@ class TestSweep:
 class TestMakeDetector:
     def test_kinds_constructible(self, scenario):
         make_detector("bs", scenario)
-        make_detector("bs-generalized", scenario)
         make_detector("block-map", scenario)
-        make_detector("dp", scenario, default_error_min_costs())
+        make_detector("dp", scenario, CostModel.error_min())
         make_detector("prior-only", scenario)
 
     def test_one_threshold_needs_zero_costs(self, scenario):
-        from ordfuse.dp_policy import CostMode, CostModel
+        from ordfuse.dp_policy import CostMode
 
         det = make_detector("one-threshold", scenario,
                             CostModel(mode=CostMode.WEIGHTED_THROUGHPUT, c=0.0))
@@ -218,7 +218,7 @@ class TestMakeDetector:
 class TestDpVsBsTrend:
     def test_dp_probes_fewer_sensors(self, scenario, law):
         # the solved policy trades a little error for much earlier stopping
-        cm = default_error_min_costs()
+        cm = CostModel.error_min()
         for m in (10, 14):
             cfg = default_scenario(M=m)
             det_dp = make_detector("dp", cfg, cm)

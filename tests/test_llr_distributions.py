@@ -8,15 +8,13 @@ from ordfuse.llr_distributions import (
     CorrectionEnvelope,
     LlrLaw,
     central_mass,
-    correction_extrema,
     correction_term,
     envelope_for,
     exceed_prob,
     llr_cdf,
     llr_pdf,
-    log_density_ratio,
-    staged_correction,
 )
+from ordfuse.reference import correction_extrema
 from ordfuse.sensing_model import Hypothesis
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -74,7 +72,6 @@ class TestPdfCdf:
         ys = np.linspace(-law.shift + 1e-3, 25.0, 200)
         direct = np.log(llr_pdf(ys, H1, law)) - np.log(llr_pdf(ys, H0, law))
         assert np.max(np.abs(direct - ys)) < 1e-9
-        assert log_density_ratio(1.0, law) == pytest.approx(1.0, abs=1e-9)
 
     def test_density_ratio_identity_pointwise(self, law):
         got = math.log(llr_pdf(1.0, H1, law) / llr_pdf(1.0, H0, law))
@@ -171,29 +168,3 @@ class TestCorrectionExtrema:
         assert lo.shape == a.shape
         assert np.all(lo <= 0.0) and np.all(hi >= lo)
 
-
-class TestStagedCorrection:
-    def test_vanishes_when_all_report(self, law):
-        from ordfuse.defaults import default_scenario
-
-        cfg = default_scenario(M=8, K=8)
-        ys = np.linspace(-2.0, 4.0, 9)
-        assert np.max(np.abs(staged_correction(ys, 8, cfg, law))) == 0.0
-
-    def test_energy_model_closed_form(self, scenario, law):
-        ys = np.linspace(-1.2, 6.0, 13)
-        k = 3
-        expected = (scenario.M - scenario.K) * correction_term(np.abs(ys), law) \
-            + (scenario.K - k) * ys
-        got = staged_correction(ys, k, scenario, law)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-
-    def test_shift_in_mean_reduces_to_ratio_term(self, shift_scenario, shift_law):
-        ys = np.linspace(-6.0, 6.0, 11)
-        k = 5
-        got = staged_correction(ys, k, shift_scenario, shift_law)
-        np.testing.assert_allclose(got, (shift_scenario.K - k) * ys, atol=1e-8)
-
-    def test_stage_validated(self, scenario, law):
-        with pytest.raises(ValueError):
-            staged_correction(1.0, 0, scenario, law)

@@ -7,16 +7,14 @@ from scipy.integrate import quad
 
 from ordfuse.defaults import default_scenario
 from ordfuse.llr_distributions import LlrLaw, exceed_prob, llr_pdf
-from ordfuse.order_stats import (
-    SensorEnsemble,
+from ordfuse.order_stats import SensorEnsemble, ranked_pdf, weighted_subset_coeffs
+from ordfuse.reference import (
     UndefinedConditional,
     conditional_pdf,
     conditional_pdf_closed_form,
     joint_consecutive_pdf,
     joint_topk_pdf,
-    ranked_pdf,
     subset_weight_sum,
-    weighted_subset_coeffs,
 )
 from ordfuse.sensing_model import Hypothesis, draw_slots
 
