@@ -159,10 +159,25 @@ def load_config(path) -> ConfigBundle:
     cost = _load_cost(raw)
     fading = _load_fading(raw, parser.has_section("fading"), scenario.M)
     experiment = _load_experiment(raw, parser)
-    detector = experiment.overrides.get("detector")
-    if detector in IDENTICAL_ONLY_KINDS and not SensorEnsemble.from_config(scenario).is_identical:
-        raise ConfigError(f"[experiment] detector '{detector}' requires identical sensors")
     return ConfigBundle(scenario, cost, fading, experiment)
+
+
+def _custom_detector_kind(spec: ExperimentSpec) -> str:
+    """Detector the custom preset runs: the `detector` key, else bs."""
+    return spec.overrides.get("detector", "bs")
+
+
+def _check_runnable(bundle: ConfigBundle) -> None:
+    """Reject a custom run whose detector cannot handle the configured sensors.
+
+    Other presets and `solve` do not read the detector, so only the custom
+    preset is checked.
+    """
+    if bundle.experiment.preset != "custom":
+        return
+    kind = _custom_detector_kind(bundle.experiment)
+    if kind in IDENTICAL_ONLY_KINDS and not SensorEnsemble.from_config(bundle.scenario).is_identical:
+        raise ConfigError(f"[experiment] detector '{kind}' requires identical sensors")
 
 
 def _load_scenario(raw) -> ScenarioConfig:
@@ -531,7 +546,7 @@ def _preset_sensing_vs_c(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
 
 def _preset_custom(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     spec = bundle.experiment
-    kind = spec.overrides.get("detector", "bs")
+    kind = _custom_detector_kind(spec)
     detector = make_detector(kind, bundle.scenario, bundle.cost)
     met = run_monte_carlo(bundle.scenario, detector, spec.trials, spec.seed, cost_model=bundle.cost)
     config = bundle.scenario
@@ -608,6 +623,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
+            _check_runnable(bundle)
             print("config OK")
             return 0
         if args.command == "solve":
@@ -618,6 +634,8 @@ def main(argv=None) -> int:
                 policy = solve_backward(bundle.scenario, bundle.cost, ensemble)
             policy.save(args.out)
             print(f"policy written to {args.out}")
+            diag = policy.diagnostics
+            print(f"quadrature mass error {diag['quadrature_mass_error']:.4g}, {diag['nodes']} nodes")
             return 0
         spec = bundle.experiment
         updates = {}
@@ -632,6 +650,7 @@ def main(argv=None) -> int:
         if updates:
             spec = replace(spec, **updates)
             bundle = bundle._replace(experiment=spec)
+        _check_runnable(bundle)
         written = run_experiment(spec, bundle)
         for path in written:
             print(path)

@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bs_thresholds import DecisionOutcome, _ordered_values
-from .order_stats import SensorEnsemble, ranked_pdf
+from .order_stats import SensorEnsemble, ranked_pdf, ranked_pdfs
 from .sensing_model import Hypothesis, ScenarioConfig
 
 _TIE_TOL = 1e-11  # stop-vs-continue ties within quadrature noise resolve to continuing
+# grid x node elements per block of the continuation: about 2 MB per array
+_BLOCK_ELEMENTS = 1 << 18
 
 
 class SolverError(RuntimeError):
@@ -150,6 +152,7 @@ class PolicyTable:
             "actions": self.actions.astype(int).tolist(),
             "pi_low": self.pi_low.tolist(),
             "pi_high": self.pi_high.tolist(),
+            "diagnostics": self.diagnostics,
             "cost_model": {
                 "mode": self.cost_model.mode.value,
                 **{
@@ -185,6 +188,7 @@ class PolicyTable:
             tau_N=float(tau_n),
             tau=float(tau),
             kind=payload["kind"],
+            diagnostics=dict(payload.get("diagnostics", {})),
         )
 
 
@@ -248,14 +252,8 @@ def _quadrature_rank_densities(config: ScenarioConfig, ensemble: SensorEnsemble)
     """
     for per_segment in (24, 48):
         nodes, weights = panels_from_edges(_quadrature_edges(ensemble, per_segment), order=16)
-        f0 = np.stack([
-            np.asarray(ranked_pdf(r, nodes, Hypothesis.H0, ensemble), dtype=float)
-            for r in range(1, config.K + 1)
-        ])
-        f1 = np.stack([
-            np.asarray(ranked_pdf(r, nodes, Hypothesis.H1, ensemble), dtype=float)
-            for r in range(1, config.K + 1)
-        ])
+        f0 = ranked_pdfs(config.K, nodes, Hypothesis.H0, ensemble)
+        f1 = ranked_pdfs(config.K, nodes, Hypothesis.H1, ensemble)
         mass0 = f0 @ weights
         mass1 = f1 @ weights
         err = max(np.abs(mass0 - 1.0).max(), np.abs(mass1 - 1.0).max())
@@ -278,12 +276,26 @@ def _stage_stop_costs(k: int, grid: np.ndarray, cost_model: CostModel, config: S
 
 
 def _continuation(grid, j_next, f0, f1, weights):
-    mix = grid[:, None] * f0[None, :] + (1.0 - grid)[:, None] * f1[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        post = grid[:, None] * f0[None, :] / mix
-    post = np.where(mix > 0.0, post, grid[:, None])
-    j_interp = np.interp(post.ravel(), grid, j_next).reshape(post.shape)
-    return (mix * j_interp) @ weights
+    """Expected next-stage value at every grid belief, one block of rows at a time.
+
+    Rows per block are a multiple of 16 and the last block is never a single
+    row (a one-row product goes through a dot kernel that rounds
+    differently), so with one BLAS thread each row's matrix-vector product
+    takes the same kernel as in one product over the whole grid and the
+    result is bit-identical to it.
+    """
+    rows = max(16, _BLOCK_ELEMENTS // f0.size // 16 * 16)
+    bounds = [*range(0, grid.size - 1, rows), grid.size]
+    out = np.empty(grid.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        g = grid[lo:hi, None]
+        gf0 = g * f0
+        mix = gf0 + (1.0 - g) * f1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            post = gf0 / mix
+        post = np.where(mix > 0.0, post, g)
+        out[lo:hi] = (mix * np.interp(post, grid, j_next)) @ weights
+    return out
 
 
 def _belief_grid(grid_size: int, log_odds_span: float = 16.0) -> np.ndarray:
@@ -358,7 +370,7 @@ def _solve(
         tau_N=config.tau_N,
         tau=config.tau,
         kind="one-threshold" if one_threshold else "two-threshold",
-        diagnostics={"quadrature_mass_error": quad_err, "nodes": len(nodes)},
+        diagnostics={"quadrature_mass_error": float(quad_err), "nodes": len(nodes)},
     )
 
 
@@ -412,33 +424,37 @@ def run_policy_batch(
     if y.ndim != 2 or y.shape[1] < policy.k_max:
         raise ValueError(f"need at least K={policy.k_max} ordered values per slot")
     n = y.shape[0]
-    pi = np.full(n, float(pi0))
     declared = np.full(n, -1, dtype=np.int8)
     stage = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    # slots still running and their beliefs; stopped slots are dropped, so
+    # densities and updates are evaluated only where they are used
+    active = np.arange(n)
+    pi = np.full(n, float(pi0))
     for k in range(1, policy.k_max + 1):
-        yk = y[:, k - 1]
+        yk = y[active, k - 1]
         f0 = np.asarray(ranked_pdf(k, yk, Hypothesis.H0, ensemble), dtype=float)
         f1 = np.asarray(ranked_pdf(k, yk, Hypothesis.H1, ensemble), dtype=float)
         den = pi * f0 + (1.0 - pi) * f1
-        bad = active & (den <= 0.0)
+        bad = den <= 0.0
         if np.any(bad):
             raise PosteriorUndefined(
                 f"predictive density vanishes at stage {k} for {int(bad.sum())} slot(s)"
             )
-        pi = np.where(active, np.where(den > 0.0, pi * f0 / np.where(den > 0, den, 1.0), pi), pi)
+        pi = pi * f0 / den
+        stop_h0 = pi >= policy.pi_high[k - 1]
         if k == policy.k_max:
-            free = pi >= policy.pi_high[k - 1]
-            declared[active] = np.where(free[active], 0, 1)
+            declared[active] = np.where(stop_h0, 0, 1)
             stage[active] = k
-            active[:] = False
-        else:
-            stop_h0 = active & (pi >= policy.pi_high[k - 1])
-            stop_h1 = active & ~stop_h0 & (pi <= policy.pi_low[k - 1])
-            declared[stop_h0] = 0
-            declared[stop_h1] = 1
-            stage[stop_h0 | stop_h1] = k
-            active &= ~(stop_h0 | stop_h1)
+            break
+        stop_h1 = ~stop_h0 & (pi <= policy.pi_low[k - 1])
+        declared[active[stop_h0]] = 0
+        declared[active[stop_h1]] = 1
+        stop = stop_h0 | stop_h1
+        stage[active[stop]] = k
+        active = active[~stop]
+        pi = pi[~stop]
+        if active.size == 0:
+            break
     return declared, stage
 
 

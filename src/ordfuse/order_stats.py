@@ -56,24 +56,37 @@ def weighted_subset_coeffs(p: np.ndarray, q: np.ndarray, m_max: int) -> np.ndarr
     return c
 
 
-def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
-    """Marginal density of the rank-m LLR (m-th largest magnitude) under hyp."""
-    if not 1 <= m <= ensemble.m:
-        raise ValueError(f"rank {m} out of range for {ensemble.m} sensors")
+def ranked_pdfs(k_max: int, y, hyp: Hypothesis, ensemble: SensorEnsemble) -> np.ndarray:
+    """Marginal densities of ranks 1..k_max at y under hyp; row m - 1 is rank m.
+
+    Each law's density and tail are evaluated once, and each leave-one-out
+    coefficient recurrence runs once to depth k_max - 1: coefficient j never
+    reads an entry above j, so every row equals a recurrence stopped at its
+    own rank.
+    """
+    if not 1 <= k_max <= ensemble.m:
+        raise ValueError(f"rank {k_max} out of range for {ensemble.m} sensors")
     y = np.asarray(y, dtype=float)
     n_sensors = ensemble.m
     if ensemble.is_identical:
         law = ensemble.laws[0]
         f = np.asarray(llr_pdf(y, hyp, law), dtype=float)
         b = np.asarray(exceed_prob(y, hyp, law), dtype=float)
-        out = n_sensors * f * math.comb(n_sensors - 1, m - 1) \
+        return np.stack([
+            n_sensors * f * math.comb(n_sensors - 1, m - 1)
             * b ** (m - 1) * (1.0 - b) ** (n_sensors - m)
-        return out if out.ndim else float(out)
+            for m in range(1, k_max + 1)
+        ])
     f_all = np.stack([np.asarray(llr_pdf(y, hyp, law), dtype=float) for law in ensemble.laws])
     b_all = np.stack([np.asarray(exceed_prob(y, hyp, law), dtype=float) for law in ensemble.laws])
-    out = np.zeros_like(np.asarray(y, dtype=float))
+    out = np.zeros((k_max,) + y.shape)
     for r in range(n_sensors):
         keep = [v for v in range(n_sensors) if v != r]
-        coeff = weighted_subset_coeffs(b_all[keep], 1.0 - b_all[keep], m - 1)[m - 1]
-        out = out + f_all[r] * coeff
+        out = out + f_all[r] * weighted_subset_coeffs(b_all[keep], 1.0 - b_all[keep], k_max - 1)
+    return out
+
+
+def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
+    """Marginal density of the rank-m LLR (m-th largest magnitude) under hyp."""
+    out = ranked_pdfs(m, y, hyp, ensemble)[m - 1]
     return out if out.ndim else float(out)

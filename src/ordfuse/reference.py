@@ -3,8 +3,9 @@
 Nothing in the runtime imports this module and `ordfuse` does not re-export
 it. Each function computes, by a slower or more direct route, a quantity the
 runtime gets elsewhere: the correction-term extrema (`CorrectionEnvelope`),
-the belief update (`run_policy_batch`), and the exact rank densities and
-subset sums behind the solver's marginal recursion.
+the belief update (`run_policy_batch`), the solver's continuation over the
+whole belief grid at once (`dp_policy._continuation`), and the exact rank
+densities and subset sums behind the solver's marginal recursion.
 """
 
 from __future__ import annotations
@@ -127,6 +128,20 @@ def posterior_update_exact(
     if den <= 0.0:
         raise PosteriorUndefined(f"conditional predictive density vanishes at stage {k}")
     return pi_k * f0 / den
+
+
+# ---------------------------------------------------------------------------
+# Solver continuation
+
+
+def dense_continuation(grid, j_next, f0, f1, weights):
+    """Expected next-stage value at every grid belief from dense grid x node arrays."""
+    mix = grid[:, None] * f0[None, :] + (1.0 - grid)[:, None] * f1[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = grid[:, None] * f0[None, :] / mix
+    post = np.where(mix > 0.0, post, grid[:, None])
+    j_interp = np.interp(post.ravel(), grid, j_next).reshape(post.shape)
+    return (mix * j_interp) @ weights
 
 
 # ---------------------------------------------------------------------------

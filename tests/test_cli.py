@@ -214,6 +214,38 @@ class TestMain:
         assert main(argv) == 2
         assert "identical sensors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_custom_default_detector_needs_identical_sensors_exit_2(
+        self, tmp_path, capsys, command
+    ):
+        # with no detector key the custom preset runs bs
+        cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trials", "10", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "detector 'bs' requires identical sensors" in capsys.readouterr().err
+
+    def test_preset_override_to_custom_checked(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\npreset = fig-thresholds-vs-stage\n",
+        )
+        assert main(["validate", "--config", str(cfg)]) == 0
+        argv = ["run", "--config", str(cfg), "--preset", "custom", "--trials", "10",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "requires identical sensors" in capsys.readouterr().err
+
+    def test_non_identical_config_solves_and_runs_other_presets(self, tmp_path):
+        cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n")
+        out = tmp_path / "policy.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["run", "--config", str(cfg), "--preset", "fig-thresholds-vs-stage",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "fig-thresholds-vs-stage.csv").exists()
+
     def test_dp_on_non_identical_sensors_validates(self, tmp_path):
         cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\ndetector = dp\n")
         assert main(["validate", "--config", str(cfg)]) == 0
@@ -235,6 +267,17 @@ class TestMain:
         policy = PolicyTable.load(out)
         assert policy.k_max == 8
         assert policy.kind == "two-threshold"
+
+    def test_solve_prints_diagnostics(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "")
+        out = tmp_path / "policy.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = PolicyTable.load(out).diagnostics
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == (
+            f"quadrature mass error {diag['quadrature_mass_error']:.4g}, {diag['nodes']} nodes"
+        )
+        assert diag["nodes"] == 2144
 
     def test_solve_one_threshold_flag(self, tmp_path):
         cfg = _write(tmp_path, "[cost]\nmode = weighted-throughput\nc = 0\n")

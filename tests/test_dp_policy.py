@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordfuse
 from ordfuse.defaults import default_scenario
 from ordfuse.dp_policy import (
     Action,
@@ -15,6 +21,9 @@ from ordfuse.dp_policy import (
     decision_cost,
     run_policy,
     run_policy_batch,
+    _belief_grid,
+    _continuation,
+    _quadrature_rank_densities,
     solve_backward,
     solve_one_threshold,
 )
@@ -23,6 +32,15 @@ from ordfuse.reference import joint_topk_pdf, posterior_update, posterior_update
 from ordfuse.sensing_model import Hypothesis, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
+
+
+@pytest.fixture(scope="module")
+def non_identical():
+    """M=6 sensors with distinct signal powers and their error-min policy."""
+    cfg = default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
+    ens = SensorEnsemble.from_config(cfg)
+    assert not ens.is_identical
+    return cfg, ens, solve_backward(cfg, CostModel.error_min(c=0.0001), ens)
 
 
 class TestDecisionCost:
@@ -230,6 +248,83 @@ class TestSolveBackward:
         assert np.all(interior == Action.CONTINUE)
 
 
+class TestContinuation:
+    # one-BLAS-thread evaluation of the dense oracle on the saved cases
+    _DENSE_ORACLE = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ordfuse.reference import dense_continuation\n"
+        "cases = np.load(sys.argv[1])\n"
+        "n = len(cases.files) // 5\n"
+        "np.savez(sys.argv[2], *[dense_continuation(*(cases[f'arr_{5 * i + j}'] for j in range(5)))\n"
+        "                        for i in range(n)])\n"
+    )
+
+    @staticmethod
+    def _cases(cfg, ens, policies, grid_sizes):
+        _, weights, f0, f1, _ = _quadrature_rank_densities(cfg, ens)
+        for policy in policies:
+            for size in grid_sizes:
+                grid = _belief_grid(size)
+                for k in range(1, cfg.K):
+                    j_next = np.interp(grid, policy.grid, policy.values[k])
+                    yield grid, j_next, f0[k], f1[k], weights
+
+    def test_blocked_equals_dense_reference(
+        self, tmp_path, scenario, ensemble, policy_error_min, policy_throughput_default,
+        non_identical,
+    ):
+        """Bit-identical to `reference.dense_continuation` for the identical M=10
+        and non-identical M=6 sensors, both cost modes, and grid sizes 1001,
+        129 and 225: each ends in a partial block, and 225 (M=10) or 129 and
+        225 (M=6) leave a single row that joins the block before it.
+
+        The dense product splits its rows across BLAS threads at boundaries
+        that change the summation kernel of a few rows, so the oracle runs in
+        a child process with one BLAS thread; the blocked continuation runs
+        here with whatever thread count the session has.
+        """
+        cfg6, ens6, err6 = non_identical
+        thr6 = solve_backward(cfg6, CostModel.throughput(c=0.0001), ens6)
+        grid_sizes = (1001, 129, 225)
+        cases = [
+            *self._cases(scenario, ensemble, (policy_error_min, policy_throughput_default), grid_sizes),
+            *self._cases(cfg6, ens6, (err6, thr6), grid_sizes),
+        ]
+        np.savez(tmp_path / "cases.npz", *[a for case in cases for a in case])
+        env = dict(os.environ)
+        env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ordfuse.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        subprocess.run(
+            [sys.executable, "-c", self._DENSE_ORACLE, str(tmp_path / "cases.npz"),
+             str(tmp_path / "dense.npz")],
+            env=env, check=True,
+        )
+        dense = np.load(tmp_path / "dense.npz")
+        assert len(dense.files) == len(cases) == 2 * 3 * (scenario.K - 1 + cfg6.K - 1)
+        for i, case in enumerate(cases):
+            assert np.array_equal(_continuation(*case), dense[f"arr_{i}"]), i
+
+    def test_peak_memory_is_bounded(self):
+        # the M=16 non-identical solve's size: 13,184 nodes on the 1001-point
+        # grid, where one dense grid x node array alone is about 105 MB
+        rng = np.random.default_rng(71)
+        n_nodes = 13_184
+        grid = _belief_grid(1001)
+        f0, f1 = rng.uniform(0.0, 2.0, (2, n_nodes))
+        weights = rng.uniform(0.0, 1e-3, n_nodes)
+        j_next = np.minimum(grid, 1.0 - grid)
+        tracemalloc.start()
+        try:
+            _continuation(grid, j_next, f0, f1, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
 class TestOneThreshold:
     def test_requires_zero_cost_model(self, scenario, ensemble):
         with pytest.raises(ValueError, match="one-threshold"):
@@ -275,10 +370,10 @@ class TestRunPolicy:
         assert out.sensing_time == pytest.approx(scenario.tau_N + scenario.tau)
 
     @staticmethod
-    def _assert_single_matches_batch(cfg, ensemble, policy):
-        _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(53), 50)
+    def _assert_single_matches_batch(cfg, ensemble, policy, n_slots=50):
+        _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(53), n_slots)
         declared, stage = run_policy_batch(ordered, policy, ensemble, cfg.pi0)
-        for i in range(50):
+        for i in range(n_slots):
             out = run_policy(ordered[i], policy, ensemble, cfg.pi0)
             assert out.declared == declared[i]
             assert out.stage == stage[i]
@@ -287,17 +382,24 @@ class TestRunPolicy:
     def test_single_and_batch_agree(self, scenario, ensemble, policy_error_min):
         self._assert_single_matches_batch(scenario, ensemble, policy_error_min)
 
-    def test_single_and_batch_agree_non_identical(self):
-        cfg = default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
-        ens = SensorEnsemble.from_config(cfg)
-        assert not ens.is_identical
-        policy = solve_backward(cfg, CostModel.error_min(c=0.0001), ens)
-        self._assert_single_matches_batch(cfg, ens, policy)
+    def test_single_and_batch_agree_non_identical(self, non_identical):
+        # enough slots that some stop at every stage, so the batch drops
+        # slots in many patterns while the survivors' beliefs must not shift
+        self._assert_single_matches_batch(*non_identical, n_slots=256)
 
     def test_report_outside_support_raises(self, ensemble, policy_error_min):
         # -5.0 lies below the energy law's support, so no rank density is positive
         with pytest.raises(PosteriorUndefined):
             run_policy([-5.0] * 8, policy_error_min, ensemble, pi0=0.5)
+
+    def test_report_outside_support_after_stopping_is_ignored(self, ensemble, policy_error_min):
+        # the first slot declares busy on its first report; its later reports
+        # lie outside the support but are never read
+        _, _, ordered, _ = draw_slots(default_scenario(), np.random.default_rng(67), 1)
+        slots = np.vstack([[12.0] + [-5.0] * 7, ordered[0, :8]])
+        declared, stage = run_policy_batch(slots, policy_error_min, ensemble, 0.5)
+        assert declared[0] == 1 and stage[0] == 1
+        assert stage[1] >= 1
 
     def test_average_stage_decreases_with_m(self):
         # more sensors concentrate the top-ranked evidence; probes shrink toward one
@@ -326,6 +428,16 @@ class TestSerialization:
         assert loaded.cost_model == policy_throughput_default.cost_model
         assert loaded.kind == policy_throughput_default.kind
         assert loaded.tau == policy_throughput_default.tau
+
+    def test_diagnostics_round_trip(self, policy_throughput_default, tmp_path):
+        path = tmp_path / "policy.json"
+        policy_throughput_default.save(path)
+        loaded = PolicyTable.load(path)
+        assert loaded.diagnostics == policy_throughput_default.diagnostics
+        assert set(loaded.diagnostics) == {"quadrature_mass_error", "nodes"}
+        assert loaded.diagnostics["nodes"] == 2144
+        assert 0.0 <= loaded.diagnostics["quadrature_mass_error"] <= 1e-6
+        assert concavity_check(loaded)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from ordfuse.defaults import default_scenario
 from ordfuse.llr_distributions import LlrLaw, exceed_prob, llr_pdf
-from ordfuse.order_stats import SensorEnsemble, ranked_pdf, weighted_subset_coeffs
+from ordfuse.order_stats import SensorEnsemble, ranked_pdf, ranked_pdfs, weighted_subset_coeffs
 from ordfuse.reference import (
     UndefinedConditional,
     conditional_pdf,
@@ -138,6 +138,31 @@ class TestRankedPdf:
         theory = np.diff(cum[::16]) / width
         se = np.sqrt(np.maximum(theory, 1e-12) / (values.size * width))
         assert np.all(np.abs(hist - theory) < 4.0 * se + 1e-4)
+
+
+class TestRankedPdfs:
+    @pytest.mark.parametrize("identical", [True, False], ids=["identical", "non-identical"])
+    def test_rows_independent_of_depth(self, ensemble, identical):
+        # row m - 1 is bit-identical whether the recurrence stops at rank m or K
+        ens = ensemble if identical else _random_ensemble(10, np.random.default_rng(73))
+        ys = np.linspace(-1.6, 9.0, 301)
+        for hyp in (H0, H1):
+            full = ranked_pdfs(8, ys, hyp, ens)
+            assert full.shape == (8, ys.size)
+            for m in range(1, 9):
+                assert np.array_equal(full[m - 1], ranked_pdfs(m, ys, hyp, ens)[m - 1])
+                assert np.array_equal(full[m - 1], ranked_pdf(m, ys, hyp, ens))
+
+    def test_scalar_point(self, ensemble):
+        rows = ranked_pdfs(3, 1.2, H1, ensemble)
+        assert rows.shape == (3,)
+        assert ranked_pdf(2, 1.2, H1, ensemble) == rows[1]
+
+    def test_depth_out_of_range(self, ensemble):
+        with pytest.raises(ValueError, match="rank"):
+            ranked_pdfs(0, 1.0, H0, ensemble)
+        with pytest.raises(ValueError, match="rank"):
+            ranked_pdfs(11, 1.0, H0, ensemble)
 
 
 class TestJointConsecutive:
