@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import enum
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,62 +49,6 @@ class ConfigError(ValueError):
     """Configuration file failed to parse or violated an invariant."""
 
 
-PRESET_NAMES = (
-    "fig-throughput-vs-M",
-    "fig-perror-vs-M",
-    "fig-probed-vs-M",
-    "fig-throughput-compare",
-    "fig-probed-vs-K",
-    "fig-fading-probed",
-    "fig-thresholds-vs-stage",
-    "fig-sensing-vs-c",
-    "custom",
-)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    preset: str
-    overrides: dict
-    trials: int
-    seed: int
-    output_path: Path
-
-    def __post_init__(self):
-        if self.preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset '{self.preset}' (expected one of {PRESET_NAMES})")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-
-
-class ConfigBundle(NamedTuple):
-    scenario: ScenarioConfig
-    cost: CostModel
-    fading: FadingConfig | None
-    experiment: ExperimentSpec
-
-
-_SCENARIO_KEYS = {
-    "M", "N", "K", "tau_s", "tau_N", "tau", "pi0", "sigma2", "sigma2_s",
-    "measurement_model", "mu0", "mu1", "rng_seed",
-}
-_COST_KEYS = {
-    "mode", "omega", "R_p", "R_s", "eta_p", "eta_s", "delta_p", "delta_s",
-    "e_pt", "e_st", "P_col", "L_f", "L_b", "c",
-}
-_FADING_KEYS = {"W", "bits", "tau_b", "P_over_sigma", "Gamma", "gain_mean", "T_c"}
-_EXPERIMENT_KEYS = {
-    "preset", "trials", "seed", "output", "detector",
-    "m_values", "k_values", "c_values", "omega_values",
-}
-_SECTIONS = {
-    "scenario": _SCENARIO_KEYS,
-    "cost": _COST_KEYS,
-    "fading": _FADING_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
-}
-
-
 def _parse_float(raw: str, where: str) -> float:
     try:
         return float(raw)
@@ -117,17 +63,78 @@ def _parse_int(raw: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got '{raw}'") from exc
 
 
-def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part.strip(), where) for part in raw.split(",") if part.strip())
+def _parse_list(raw: str, where: str, parse) -> tuple:
+    return tuple(parse(part.strip(), where) for part in raw.split(",") if part.strip())
 
 
-def _scalar_or_list(raw: str, m: int, where: str) -> tuple[float, ...]:
-    values = _parse_float_list(raw, where)
-    if len(values) == 1:
-        return values * m
-    if len(values) != m:
-        raise ConfigError(f"{where}: expected 1 or M={m} values, got {len(values)}")
-    return values
+def _per_sensor(m: int):
+    """Parser for a per-sensor field: one value for all M sensors, or M values."""
+    def parse(raw: str, where: str) -> tuple[float, ...]:
+        values = _parse_list(raw, where, _parse_float)
+        if len(values) == 1:
+            return values * m
+        if len(values) != m:
+            raise ConfigError(f"{where}: expected 1 or M={m} values, got {len(values)}")
+        return values
+    return parse
+
+
+def _parse_enum(enum_cls):
+    def parse(raw: str, where: str):
+        try:
+            return enum_cls(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where} must be one of {[m.value for m in enum_cls]}") from exc
+    return parse
+
+
+_PROBED_VS_K_M = 100  # sensors in every scenario of fig-probed-vs-K
+
+# sweep list key -> (parser, accepted value, what every value must be)
+_SWEEP_LISTS = {
+    "m_values": (_parse_int, lambda v: v >= 1, "integers >= 1"),
+    "k_values": (_parse_int, lambda v: 1 <= v <= _PROBED_VS_K_M, f"integers in 1..{_PROBED_VS_K_M}"),
+    "c_values": (_parse_float, lambda v: 0.0 <= v < math.inf, "finite numbers >= 0"),
+    "omega_values": (_parse_float, lambda v: 0.0 <= v <= 1.0, "numbers in [0, 1]"),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One preset run; a sweep list left as None takes the preset's default."""
+
+    preset: str
+    overrides: dict
+    trials: int
+    seed: int
+    output_path: Path
+    m_values: tuple[int, ...] | None = None
+    k_values: tuple[int, ...] | None = None
+    c_values: tuple[float, ...] | None = None
+    omega_values: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.preset not in PRESET_NAMES:
+            raise ConfigError(f"unknown preset '{self.preset}' (expected one of {PRESET_NAMES})")
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+
+
+class ConfigBundle(NamedTuple):
+    scenario: ScenarioConfig
+    cost: CostModel
+    fading: FadingConfig | None
+    experiment: ExperimentSpec
+
+
+_SECTIONS = {
+    "scenario": {f.name for f in fields(ScenarioConfig)},
+    "cost": {f.name for f in fields(CostModel)},
+    "fading": {f.name for f in fields(FadingConfig)},
+    "experiment": {"preset", "trials", "seed", "output", "detector", *_SWEEP_LISTS},
+}
 
 
 def load_config(path) -> ConfigBundle:
@@ -180,66 +187,43 @@ def _check_runnable(bundle: ConfigBundle) -> None:
         raise ConfigError(f"[experiment] detector '{kind}' requires identical sensors")
 
 
+def _parse_keys(raw, section: str, table: dict) -> dict:
+    """The keys of `table` that the section sets, each through its parser."""
+    out = {}
+    for key, parse in table.items():
+        value = raw(section, key)
+        if value is not None:
+            out[key] = parse(value, f"[{section}] {key}")
+    return out
+
+
 def _load_scenario(raw) -> ScenarioConfig:
-    base = default_scenario()
-    kwargs = {}
-    for key, parse in (
-        ("M", _parse_int), ("N", _parse_int), ("K", _parse_int),
-        ("tau_s", _parse_float), ("tau_N", _parse_float), ("tau", _parse_float),
-        ("pi0", _parse_float), ("sigma2", _parse_float), ("rng_seed", _parse_int),
-    ):
-        value = raw("scenario", key)
-        if value is not None:
-            kwargs[key] = parse(value, f"[scenario] {key}")
-    m = kwargs.get("M", base.M)
-    if "M" in kwargs:
-        kwargs.setdefault("K", min(base.K, m))
-    model_raw = raw("scenario", "measurement_model")
-    if model_raw is not None:
-        try:
-            kwargs["measurement_model"] = MeasurementModel(model_raw.strip())
-        except ValueError as exc:
-            raise ConfigError(
-                f"[scenario] measurement_model must be one of "
-                f"{[m.value for m in MeasurementModel]}"
-            ) from exc
-    sig = raw("scenario", "sigma2_s")
-    kwargs["sigma2_s"] = (
-        _scalar_or_list(sig, m, "[scenario] sigma2_s") if sig is not None
-        else (base.sigma2_s[0],) * m
-    )
-    for key in ("mu0", "mu1"):
-        value = raw("scenario", key)
-        if value is not None:
-            kwargs[key] = _scalar_or_list(value, m, f"[scenario] {key}")
+    kwargs = _parse_keys(raw, "scenario", {
+        "M": _parse_int, "N": _parse_int, "K": _parse_int,
+        "tau_s": _parse_float, "tau_N": _parse_float, "tau": _parse_float,
+        "pi0": _parse_float, "sigma2": _parse_float, "rng_seed": _parse_int,
+        "measurement_model": _parse_enum(MeasurementModel),
+    })
+    m = kwargs.get("M", default_scenario().M)
+    per_sensor = _per_sensor(m)
+    kwargs.update(_parse_keys(raw, "scenario", {
+        "sigma2_s": per_sensor, "mu0": per_sensor, "mu1": per_sensor,
+    }))
     if kwargs.get("measurement_model") is MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN:
         kwargs.setdefault("mu0", (-1.0,) * m)
         kwargs.setdefault("mu1", (1.0,) * m)
     try:
-        return replace(base, M=m, **{k: v for k, v in kwargs.items() if k != "M"})
+        return default_scenario(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from exc
 
 
 def _load_cost(raw) -> CostModel:
-    mode_raw = raw("cost", "mode")
-    if mode_raw is None:
-        mode = CostMode.ERROR_MIN
-    else:
-        try:
-            mode = CostMode(mode_raw.strip())
-        except ValueError as exc:
-            raise ConfigError(
-                f"[cost] mode must be one of {[m.value for m in CostMode]}"
-            ) from exc
-    kwargs = {}
-    for key in _COST_KEYS - {"mode"}:
-        value = raw("cost", key)
-        if value is not None:
-            kwargs[key] = _parse_float(value, f"[cost] {key}")
-    kwargs.setdefault("c", 0.0001)
+    # every cost field but the mode is a number
+    table = {f.name: _parse_float for f in fields(CostModel)} | {"mode": _parse_enum(CostMode)}
+    parsed = _parse_keys(raw, "cost", table)
     try:
-        return CostModel(mode=mode, **kwargs)
+        return replace(CostModel.error_min(), **parsed)
     except ValueError as exc:
         raise ConfigError(f"[cost] {exc}") from exc
 
@@ -247,43 +231,43 @@ def _load_cost(raw) -> CostModel:
 def _load_fading(raw, present: bool, m: int) -> FadingConfig | None:
     if not present:
         return None
-    base = default_fading(m)
-    kwargs = dict(
-        W=base.W, bits=base.bits, tau_b=base.tau_b, T_c=base.T_c,
-        P_over_sigma=base.P_over_sigma, Gamma=base.Gamma, gain_mean=base.gain_mean,
-    )
-    for key, parse in (("W", _parse_float), ("tau_b", _parse_float)):
-        value = raw("fading", key)
-        if value is not None:
-            kwargs[key] = parse(value, f"[fading] {key}")
-    for key in ("bits", "T_c"):
-        value = raw("fading", key)
-        if value is not None:
-            kwargs[key] = _parse_int(value, f"[fading] {key}")
-    for key in ("P_over_sigma", "Gamma", "gain_mean"):
-        value = raw("fading", key)
-        if value is not None:
-            kwargs[key] = _scalar_or_list(value, m, f"[fading] {key}")
+    per_sensor = _per_sensor(m)
+    parsed = _parse_keys(raw, "fading", {
+        "W": _parse_float, "bits": _parse_int, "tau_b": _parse_float, "T_c": _parse_int,
+        "P_over_sigma": per_sensor, "Gamma": per_sensor, "gain_mean": per_sensor,
+    })
     try:
-        return FadingConfig(**kwargs)
+        return replace(default_fading(m), **parsed)
     except ValueError as exc:
         raise ConfigError(f"[fading] {exc}") from exc
 
 
+def _parse_sweep(raw, key: str) -> tuple | None:
+    text = raw("experiment", key)
+    if text is None:
+        return None
+    parse, accepts, rule = _SWEEP_LISTS[key]
+    where = f"[experiment] {key}"
+    values = _parse_list(text, where, parse)
+    if not values or not all(accepts(v) for v in values):
+        raise ConfigError(f"{where}: expected a list of {rule}, got '{text}'")
+    return values
+
+
 def _load_experiment(raw, parser) -> ExperimentSpec:
     overrides = dict(parser["experiment"]) if parser.has_section("experiment") else {}
-    preset = raw("experiment", "preset") or "custom"
     trials_raw = raw("experiment", "trials")
     seed_raw = raw("experiment", "seed")
     detector = raw("experiment", "detector")
     if detector is not None and detector not in DETECTOR_KINDS:
         raise ConfigError(f"[experiment] detector must be one of {DETECTOR_KINDS}")
     return ExperimentSpec(
-        preset=preset,
+        preset=raw("experiment", "preset") or "custom",
         overrides=overrides,
         trials=_parse_int(trials_raw, "[experiment] trials") if trials_raw else DEFAULT_TRIALS,
         seed=_parse_int(seed_raw, "[experiment] seed") if seed_raw else DEFAULT_SEED,
         output_path=Path(raw("experiment", "output") or "out"),
+        **{key: _parse_sweep(raw, key) for key in _SWEEP_LISTS},
     )
 
 
@@ -306,67 +290,40 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _scenario_dict(config: ScenarioConfig) -> dict:
-    return {
-        "M": config.M, "N": config.N, "K": config.K,
-        "tau_s": config.tau_s, "tau_N": config.tau_N, "tau": config.tau,
-        "pi0": config.pi0, "sigma2": config.sigma2, "sigma2_s": list(config.sigma2_s),
-        "measurement_model": config.measurement_model.value,
-        "mu0": list(config.mu0) if config.mu0 else None,
-        "mu1": list(config.mu1) if config.mu1 else None,
-        "rng_seed": config.rng_seed,
-    }
-
-
-def _cost_dict(cost: CostModel) -> dict:
-    out = {"mode": cost.mode.value}
-    for key in sorted(_COST_KEYS - {"mode"}):
-        out[key] = getattr(cost, key)
-    return out
-
-
-def _fading_dict(fading: FadingConfig | None) -> dict | None:
-    if fading is None:
+def _record(config) -> dict | None:
+    """A config dataclass as JSON-ready fields, enum members as their values."""
+    if config is None:
         return None
-    return {
-        "W": fading.W, "bits": fading.bits, "tau_b": fading.tau_b,
-        "P_over_sigma": list(fading.P_over_sigma), "Gamma": list(fading.Gamma),
-        "gain_mean": list(fading.gain_mean), "T_c": fading.T_c,
-        "gain_law": fading.gain_law,
-    }
+    return {k: v.value if isinstance(v, enum.Enum) else v for k, v in asdict(config).items()}
 
 
-def _write_meta(path: Path, bundle: ConfigBundle, extra: dict) -> None:
+def _write_meta(path: Path, bundle: ConfigBundle, csv_path: Path) -> None:
+    spec = bundle.experiment
     payload = {
         "ordfuse_version": __version__,
-        "preset": bundle.experiment.preset,
-        "trials": bundle.experiment.trials,
-        "seed": bundle.experiment.seed,
-        "scenario": _scenario_dict(bundle.scenario),
-        "cost": _cost_dict(bundle.cost),
-        "fading": _fading_dict(bundle.fading),
-        "overrides": dict(bundle.experiment.overrides),
-        **extra,
+        "preset": spec.preset,
+        "trials": spec.trials,
+        "seed": spec.seed,
+        "scenario": _record(bundle.scenario),
+        "cost": _record(bundle.cost),
+        "fading": _record(bundle.fading),
+        "overrides": dict(spec.overrides),
+        "csv_files": [csv_path.name],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _values_from(spec: ExperimentSpec, key: str, fallback: list) -> list:
-    raw = spec.overrides.get(key)
-    if raw is None:
-        return fallback
-    return list(_parse_float_list(raw, f"[experiment] {key}"))
-
-
 # ---------------------------------------------------------------------------
-# Presets
+# Presets: each maps the bundle to the (header, rows) of its CSV
+
+_M_VALUES = (4, 6, 8, 10, 12, 16, 20)
 
 
-def _preset_perror_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_perror_vs_m(bundle: ConfigBundle):
     spec = bundle.experiment
-    m_values = [int(v) for v in _values_from(spec, "m_values", [4, 6, 8, 10, 12, 16, 20])]
+    m_values = spec.m_values or _M_VALUES
     cm = CostModel.error_min(c=bundle.cost.c)
     bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed)
     dp = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm)
@@ -374,54 +331,43 @@ def _preset_perror_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
     for (m, met_bs), (_, met_dp) in zip(bs, dp):
         se_bs = (met_bs.p_error * (1 - met_bs.p_error) / spec.trials) ** 0.5
         se_dp = (met_dp.p_error * (1 - met_dp.p_error) / spec.trials) ** 0.5
-        rows.append([int(m), met_bs.p_error, met_dp.p_error, se_bs, se_dp, spec.trials, spec.seed])
-    path = out_dir / "fig-perror-vs-M.csv"
-    _write_csv(path, ["M", "p_error_bs", "p_error_dp", "stderr_bs", "stderr_dp", "trials", "seed"], rows)
-    return [path]
+        rows.append([m, met_bs.p_error, met_dp.p_error, se_bs, se_dp, spec.trials, spec.seed])
+    return ["M", "p_error_bs", "p_error_dp", "stderr_bs", "stderr_dp", "trials", "seed"], rows
 
 
-def _preset_throughput_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_throughput_vs_m(bundle: ConfigBundle):
     spec = bundle.experiment
-    m_values = [int(v) for v in _values_from(spec, "m_values", [4, 6, 8, 10, 12, 16, 20])]
-    omegas = _values_from(spec, "omega_values", [0.5, 0.999])
     rows = []
-    for omega in omegas:
+    for omega in spec.omega_values or (0.5, 0.999):
         cm = CostModel.throughput(omega=omega, c=bundle.cost.c)
-        for m, met in sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm):
+        for m, met in sweep("M", spec.m_values or _M_VALUES, bundle.scenario, "dp",
+                            spec.trials, spec.seed, cost_model=cm):
             rows.append([
-                int(m), omega,
+                m, omega,
                 met.norm_throughput_primary, met.norm_throughput_secondary,
                 spec.trials, spec.seed,
             ])
-    path = out_dir / "fig-throughput-vs-M.csv"
-    _write_csv(path, ["M", "omega", "thr_primary", "thr_secondary", "trials", "seed"], rows)
-    return [path]
+    return ["M", "omega", "thr_primary", "thr_secondary", "trials", "seed"], rows
 
 
-def _preset_probed_vs_m(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_probed_vs_m(bundle: ConfigBundle):
     spec = bundle.experiment
-    m_values = [int(v) for v in _values_from(spec, "m_values", [4, 6, 8, 10, 12, 16, 20])]
+    m_values = spec.m_values or _M_VALUES
     cm_err = CostModel.error_min(c=bundle.cost.c)
     cm_thr = CostModel.throughput(c=bundle.cost.c)
     bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed)
     dp_e = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_err)
     dp_t = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_thr)
     rows = [
-        [int(m), a.avg_stage, b.avg_stage, c.avg_stage, spec.trials, spec.seed]
+        [m, a.avg_stage, b.avg_stage, c.avg_stage, spec.trials, spec.seed]
         for (m, a), (_, b), (_, c) in zip(bs, dp_e, dp_t)
     ]
-    path = out_dir / "fig-probed-vs-M.csv"
-    _write_csv(
-        path,
-        ["M", "probed_bs", "probed_dp_error", "probed_dp_throughput", "trials", "seed"],
-        rows,
-    )
-    return [path]
+    return ["M", "probed_bs", "probed_dp_error", "probed_dp_throughput", "trials", "seed"], rows
 
 
-def _preset_throughput_compare(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_throughput_compare(bundle: ConfigBundle):
     spec = bundle.experiment
-    m_values = [int(v) for v in _values_from(spec, "m_values", [4, 6, 8, 10, 12, 16, 20])]
+    m_values = spec.m_values or _M_VALUES
     omega = 0.5
     cm_err = CostModel.error_min(c=bundle.cost.c)
     cm_thr = CostModel.throughput(omega=omega, c=bundle.cost.c)
@@ -433,82 +379,66 @@ def _preset_throughput_compare(bundle: ConfigBundle, out_dir: Path) -> list[Path
         return omega * met.norm_throughput_primary + (1 - omega) * met.norm_throughput_secondary
 
     rows = [
-        [int(m), ws(a), ws(b), ws(c), spec.trials, spec.seed]
+        [m, ws(a), ws(b), ws(c), spec.trials, spec.seed]
         for (m, a), (_, b), (_, c) in zip(bs, dp_e, dp_t)
     ]
-    path = out_dir / "fig-throughput-compare.csv"
-    _write_csv(path, ["M", "ws_bs", "ws_dp_error", "ws_dp_throughput", "trials", "seed"], rows)
-    return [path]
+    return ["M", "ws_bs", "ws_dp_error", "ws_dp_throughput", "trials", "seed"], rows
 
 
-def _preset_probed_vs_k(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_probed_vs_k(bundle: ConfigBundle):
     spec = bundle.experiment
-    k_values = [int(v) for v in _values_from(spec, "k_values", [2, 4, 6, 8, 10, 12])]
-    base = default_scenario(M=100, K=bundle.scenario.K, rng_seed=bundle.scenario.rng_seed)
-    low = replace(base, sigma2_s=(2.0,) * 100)
-    high = replace(base, sigma2_s=(50.0,) * 100)
+    k_values = spec.k_values or (2, 4, 6, 8, 10, 12)
+    m = _PROBED_VS_K_M
+    base = default_scenario(M=m, K=bundle.scenario.K, rng_seed=bundle.scenario.rng_seed)
+    low = replace(base, sigma2_s=(2.0,) * m)
+    high = replace(base, sigma2_s=(50.0,) * m)
     shift = replace(
         base,
         measurement_model=MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
-        mu0=(-1.0,) * 100,
-        mu1=(1.0,) * 100,
+        mu0=(-1.0,) * m,
+        mu1=(1.0,) * m,
     )
     res_low = sweep("K", k_values, low, "bs", spec.trials, spec.seed)
     res_high = sweep("K", k_values, high, "bs", spec.trials, spec.seed)
     res_shift = sweep("K", k_values, shift, "bs", spec.trials, spec.seed)
     rows = [
-        [int(k), a.avg_stage, b.avg_stage, c.avg_stage, spec.trials, spec.seed]
+        [k, a.avg_stage, b.avg_stage, c.avg_stage, spec.trials, spec.seed]
         for (k, a), (_, b), (_, c) in zip(res_low, res_high, res_shift)
     ]
-    path = out_dir / "fig-probed-vs-K.csv"
-    _write_csv(
-        path,
-        ["K", "probed_low_snr", "probed_high_snr", "probed_shift_in_mean", "trials", "seed"],
-        rows,
-    )
-    return [path]
+    return ["K", "probed_low_snr", "probed_high_snr", "probed_shift_in_mean", "trials", "seed"], rows
 
 
-def _preset_fading_probed(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_fading_probed(bundle: ConfigBundle):
     spec = bundle.experiment
-    m_values = [int(v) for v in _values_from(spec, "m_values", [8, 10, 12, 16, 20])]
     cm = CostModel.error_min(c=bundle.cost.c)
     rows = []
-    for m in m_values:
+    for m in spec.m_values or (8, 10, 12, 16, 20):
         cfg = default_scenario(M=m, rng_seed=bundle.scenario.rng_seed)
-        fading = bundle.fading if bundle.fading is not None else default_fading(m)
-        if fading.m != m:
+        fading = bundle.fading
+        if fading is None or fading.m != m:
             fading = default_fading(m)
         met_fade = run_monte_carlo_fading(cfg, fading, "dp", spec.trials, spec.seed, cost_model=cm)
         det = make_detector("dp", cfg, cm)
         met_perfect = run_monte_carlo(cfg, det, spec.trials, spec.seed, cost_model=cm)
         rows.append([
             m,
-            cfg.tau_N + met_fade.avg_stage * cfg.tau,
-            cfg.tau_N + met_perfect.avg_stage * cfg.tau,
+            cfg.sensing_time(met_fade.avg_stage),
+            cfg.sensing_time(met_perfect.avg_stage),
             met_fade.avg_stage,
             met_perfect.avg_stage,
             spec.trials, spec.seed,
         ])
-    path = out_dir / "fig-fading-probed.csv"
-    _write_csv(
-        path,
-        ["M", "sensing_time_fading", "sensing_time_perfect",
-         "probed_fading", "probed_perfect", "trials", "seed"],
-        rows,
-    )
-    return [path]
+    header = ["M", "sensing_time_fading", "sensing_time_perfect",
+              "probed_fading", "probed_perfect", "trials", "seed"]
+    return header, rows
 
 
-def _preset_thresholds_vs_stage(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
-    spec = bundle.experiment
-    c_values = _values_from(spec, "c_values", [0.0, 0.0001, 0.001])
+def _preset_thresholds_vs_stage(bundle: ConfigBundle):
     config = bundle.scenario
     ensemble = SensorEnsemble.from_config(config)
     rows = []
-    for c in c_values:
-        cm = CostModel.throughput(c=c)
-        policy = solve_backward(config, cm, ensemble)
+    for c in bundle.experiment.c_values or (0.0, 0.0001, 0.001):
+        policy = solve_backward(config, CostModel.throughput(c=c), ensemble)
         for k in range(1, policy.k_max + 1):
             lo = float(policy.pi_low[k - 1])
             hi = float(policy.pi_high[k - 1])
@@ -517,52 +447,35 @@ def _preset_thresholds_vs_stage(bundle: ConfigBundle, out_dir: Path) -> list[Pat
                 accumulated_llr_equivalent(lo, config.pi0),
                 accumulated_llr_equivalent(hi, config.pi0),
             ])
-    path = out_dir / "fig-thresholds-vs-stage.csv"
-    _write_csv(
-        path,
-        ["c", "stage", "pi_low", "pi_high", "llr_equiv_declare_busy", "llr_equiv_declare_free"],
-        rows,
-    )
-    return [path]
+    return ["c", "stage", "pi_low", "pi_high", "llr_equiv_declare_busy", "llr_equiv_declare_free"], rows
 
 
-def _preset_sensing_vs_c(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_sensing_vs_c(bundle: ConfigBundle):
     spec = bundle.experiment
-    c_values = _values_from(spec, "c_values", [0.0, 1e-5, 1e-4, 1e-3, 1e-2])
+    c_values = spec.c_values or (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
     config = default_scenario(M=8, K=8, rng_seed=bundle.scenario.rng_seed)
-    cm = CostModel.error_min()
-    rows = []
-    for c, met in sweep("c", c_values, config, "dp", spec.trials, spec.seed, cost_model=cm):
-        rows.append([
-            c,
-            config.tau_N + met.avg_stage * config.tau,
-            met.p_error,
-            spec.trials, spec.seed,
-        ])
-    path = out_dir / "fig-sensing-vs-c.csv"
-    _write_csv(path, ["c", "avg_sensing_time", "p_error", "trials", "seed"], rows)
-    return [path]
+    rows = [
+        [c, config.sensing_time(met.avg_stage), met.p_error, spec.trials, spec.seed]
+        for c, met in sweep("c", c_values, config, "dp", spec.trials, spec.seed,
+                            cost_model=CostModel.error_min())
+    ]
+    return ["c", "avg_sensing_time", "p_error", "trials", "seed"], rows
 
 
-def _preset_custom(bundle: ConfigBundle, out_dir: Path) -> list[Path]:
+def _preset_custom(bundle: ConfigBundle):
     spec = bundle.experiment
-    kind = _custom_detector_kind(spec)
-    detector = make_detector(kind, bundle.scenario, bundle.cost)
-    met = run_monte_carlo(bundle.scenario, detector, spec.trials, spec.seed, cost_model=bundle.cost)
     config = bundle.scenario
+    kind = _custom_detector_kind(spec)
+    detector = make_detector(kind, config, bundle.cost)
+    met = run_monte_carlo(config, detector, spec.trials, spec.seed, cost_model=bundle.cost)
     rows = [[
         kind, spec.trials, spec.seed, met.p_error, met.avg_stage,
-        config.tau_N + met.avg_stage * config.tau,
+        config.sensing_time(met.avg_stage),
         met.norm_throughput_secondary, met.norm_throughput_primary,
     ]]
-    path = out_dir / "custom.csv"
-    _write_csv(
-        path,
-        ["detector", "trials", "seed", "p_error", "avg_stage", "avg_sensing_time",
-         "thr_secondary", "thr_primary"],
-        rows,
-    )
-    return [path]
+    header = ["detector", "trials", "seed", "p_error", "avg_stage", "avg_sensing_time",
+              "thr_secondary", "thr_primary"]
+    return header, rows
 
 
 _PRESET_RUNNERS = {
@@ -576,16 +489,18 @@ _PRESET_RUNNERS = {
     "fig-sensing-vs-c": _preset_sensing_vs_c,
     "custom": _preset_custom,
 }
+PRESET_NAMES = tuple(_PRESET_RUNNERS)
 
 
-def run_experiment(spec: ExperimentSpec, bundle: ConfigBundle) -> list[Path]:
-    """Run one preset and emit its CSV plus a metadata sidecar."""
-    out_dir = spec.output_path
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = _PRESET_RUNNERS[spec.preset](bundle, out_dir)
-    meta_path = out_dir / f"{spec.preset}.meta.json"
-    _write_meta(meta_path, bundle, {"csv_files": [p.name for p in written]})
-    return written + [meta_path]
+def run_experiment(bundle: ConfigBundle) -> list[Path]:
+    """Run the bundle's preset and write `<preset>.csv` plus a metadata sidecar."""
+    spec = bundle.experiment
+    header, rows = _PRESET_RUNNERS[spec.preset](bundle)
+    csv_path = spec.output_path / f"{spec.preset}.csv"
+    _write_csv(csv_path, header, rows)
+    meta_path = spec.output_path / f"{spec.preset}.meta.json"
+    _write_meta(meta_path, bundle, csv_path)
+    return [csv_path, meta_path]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +552,6 @@ def main(argv=None) -> int:
             diag = policy.diagnostics
             print(f"quadrature mass error {diag['quadrature_mass_error']:.4g}, {diag['nodes']} nodes")
             return 0
-        spec = bundle.experiment
         updates = {}
         if args.preset:
             updates["preset"] = args.preset
@@ -647,11 +561,9 @@ def main(argv=None) -> int:
             updates["trials"] = args.trials
         if args.out:
             updates["output_path"] = Path(args.out)
-        if updates:
-            spec = replace(spec, **updates)
-            bundle = bundle._replace(experiment=spec)
+        bundle = bundle._replace(experiment=replace(bundle.experiment, **updates))
         _check_runnable(bundle)
-        written = run_experiment(spec, bundle)
+        written = run_experiment(bundle)
         for path in written:
             print(path)
         return 0

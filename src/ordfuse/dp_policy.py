@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .sensing_model import Hypothesis, ScenarioConfig
 _TIE_TOL = 1e-11  # stop-vs-continue ties within quadrature noise resolve to continuing
 # grid x node elements per block of the continuation: about 2 MB per array
 _BLOCK_ELEMENTS = 1 << 18
+_GAUSS_ORDER = 16  # Gauss-Legendre nodes per quadrature panel
+_LOG_ODDS_SPAN = 16.0  # belief-grid interior covers log-odds in [-span, span]
 
 
 class SolverError(RuntimeError):
@@ -153,16 +155,7 @@ class PolicyTable:
             "pi_low": self.pi_low.tolist(),
             "pi_high": self.pi_high.tolist(),
             "diagnostics": self.diagnostics,
-            "cost_model": {
-                "mode": self.cost_model.mode.value,
-                **{
-                    name: getattr(self.cost_model, name)
-                    for name in (
-                        "omega", "R_p", "R_s", "eta_p", "eta_s", "delta_p", "delta_s",
-                        "e_pt", "e_st", "P_col", "L_f", "L_b", "c",
-                    )
-                },
-            },
+            "cost_model": {**asdict(self.cost_model), "mode": self.cost_model.mode.value},
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
@@ -202,12 +195,12 @@ def accumulated_llr_equivalent(pi_threshold: float, pi0: float) -> float:
     return math.log(pi0 / (1.0 - pi0)) + math.log((1.0 - pi_threshold) / pi_threshold)
 
 
-def panels_from_edges(edges: np.ndarray, order: int = 16):
+def panels_from_edges(edges: np.ndarray):
     """Composite Gauss-Legendre nodes/weights over consecutive edge intervals."""
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with at least two entries")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
     nodes = (lo + half * (x[None, :] + 1.0)).ravel()
@@ -251,7 +244,7 @@ def _quadrature_rank_densities(config: ScenarioConfig, ensemble: SensorEnsemble)
     than the tolerance even after panel doubling raises SolverError.
     """
     for per_segment in (24, 48):
-        nodes, weights = panels_from_edges(_quadrature_edges(ensemble, per_segment), order=16)
+        nodes, weights = panels_from_edges(_quadrature_edges(ensemble, per_segment))
         f0 = ranked_pdfs(config.K, nodes, Hypothesis.H0, ensemble)
         f1 = ranked_pdfs(config.K, nodes, Hypothesis.H1, ensemble)
         mass0 = f0 @ weights
@@ -298,14 +291,14 @@ def _continuation(grid, j_next, f0, f1, weights):
     return out
 
 
-def _belief_grid(grid_size: int, log_odds_span: float = 16.0) -> np.ndarray:
+def _belief_grid(grid_size: int) -> np.ndarray:
     """Belief grid with log-odds spacing plus exact endpoints.
 
     The optimal stop thresholds sit within O(c) of certainty, far inside the
     first uniform cell of any practical grid; spacing the points evenly in
     log-odds resolves those neighborhoods while keeping the grid small.
     """
-    z = np.linspace(-log_odds_span, log_odds_span, grid_size - 2)
+    z = np.linspace(-_LOG_ODDS_SPAN, _LOG_ODDS_SPAN, grid_size - 2)
     interior = 1.0 / (1.0 + np.exp(-z))
     return np.concatenate([[0.0], interior, [1.0]])
 

@@ -19,7 +19,8 @@ from .sensing_model import ScenarioConfig
 @dataclass(frozen=True)
 class FadingConfig:
     """Reporting-link budget: bandwidth, payload, per-report transmit window,
-    per-sensor power-to-noise ratios, SNR gap, gain law and coherence period."""
+    per-sensor power-to-noise ratios, SNR gap, exponential gain means and
+    coherence period."""
 
     W: float  # reporting bandwidth, Hz
     bits: int  # payload per report
@@ -28,7 +29,6 @@ class FadingConfig:
     Gamma: tuple[float, ...]  # SNR gap to capacity, > 1
     gain_mean: tuple[float, ...]  # exponential gain means
     T_c: int  # coherence period, in slots
-    gain_law: str = "exponential"
 
     def __post_init__(self):
         for name in ("P_over_sigma", "Gamma", "gain_mean"):
@@ -43,8 +43,6 @@ class FadingConfig:
             raise ValueError("powers and gain means must be > 0")
         if self.T_c < 1:
             raise ValueError("coherence period must cover at least one slot")
-        if self.gain_law != "exponential":
-            raise ValueError(f"unsupported gain law: {self.gain_law}")
 
     @classmethod
     def symmetric(
@@ -79,14 +77,11 @@ def participation_prob(sensor: int, fading: FadingConfig) -> float:
     return math.exp(-gain_threshold(sensor, fading) / fading.gain_mean[sensor])
 
 
-def participation_pmf(m_bar: int, fading: FadingConfig, m: int | None = None) -> float:
+def participation_pmf(m_bar: int, fading: FadingConfig) -> float:
     """Probability that exactly m_bar of the sensors participate."""
-    m = fading.m if m is None else m
-    if m > fading.m:
-        raise ValueError("m exceeds the configured sensor count")
-    if not 0 <= m_bar <= m:
+    if not 0 <= m_bar <= fading.m:
         raise ValueError("m_bar must lie in 0..M")
-    delta = np.array([participation_prob(i, fading) for i in range(m)])
+    delta = np.array([participation_prob(i, fading) for i in range(fading.m)])
     return float(weighted_subset_coeffs(delta, 1.0 - delta, m_bar)[m_bar])
 
 

@@ -95,12 +95,7 @@ DETECTOR_KINDS = ("bs", "block-map", "dp", "one-threshold", "prior-only")
 IDENTICAL_ONLY_KINDS = ("bs", "block-map")
 
 
-def make_detector(
-    kind: str,
-    config: ScenarioConfig,
-    cost_model: CostModel | None = None,
-    grid_size: int = 1001,
-):
+def make_detector(kind: str, config: ScenarioConfig, cost_model: CostModel | None = None):
     ensemble = SensorEnsemble.from_config(config)
     if kind in IDENTICAL_ONLY_KINDS:
         if not ensemble.is_identical:
@@ -112,12 +107,12 @@ def make_detector(
     if kind == "dp":
         if cost_model is None:
             raise ValueError("dp detector needs a cost model")
-        policy = solve_backward(config, cost_model, ensemble, grid_size)
+        policy = solve_backward(config, cost_model, ensemble)
         return PolicyDetector(policy, ensemble, config.pi0)
     if kind == "one-threshold":
         if cost_model is None:
             raise ValueError("one-threshold detector needs a cost model")
-        policy = solve_one_threshold(config, cost_model, ensemble, grid_size)
+        policy = solve_one_threshold(config, cost_model, ensemble)
         return PolicyDetector(policy, ensemble, config.pi0)
     if kind == "prior-only":
         return PriorOnlyDetector(config.pi0)
@@ -290,7 +285,6 @@ def sweep(
     trials: int,
     seed: int | None = None,
     cost_model: CostModel | None = None,
-    grid_size: int = 1001,
 ) -> list[tuple[float, SimMetrics]]:
     """One Monte Carlo run per axis value, all sharing the same seed so the
     slot randomness is common across points."""
@@ -301,7 +295,7 @@ def sweep(
     out = []
     for value in values:
         cfg, cm = _apply_axis(axis, value, config, cost_model)
-        detector = make_detector(detector_kind, cfg, cm, grid_size)
+        detector = make_detector(detector_kind, cfg, cm)
         out.append((value, run_monte_carlo(cfg, detector, trials, seed, cm)))
     return out
 
@@ -313,7 +307,6 @@ def run_monte_carlo_fading(
     trials: int,
     seed: int | None = None,
     cost_model: CostModel | None = None,
-    grid_size: int = 1001,
 ) -> SimMetrics:
     """Monte Carlo with the participant set redrawn every coherence period.
 
@@ -348,7 +341,7 @@ def run_monte_carlo_fading(
         else:
             cfg = effective_config(config, range(m_eff))
             if m_eff not in detectors:
-                detectors[m_eff] = make_detector(detector_kind, cfg, cost_model, grid_size)
+                detectors[m_eff] = make_detector(detector_kind, cfg, cost_model)
             detector = detectors[m_eff]
         first_key = (1 + m_eff) * 1_000_000
         for _, rng, truth, ordered_values in _chunks(cfg, seed, n_slots, first_key):

@@ -22,6 +22,9 @@ from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY_MASS = 1e-300
 _ZERO_LIMIT = 1e-8  # below this the central-mass ratio is at its analytic limit
+# correction-envelope grid: points out to the 1e-6 quantile, then beyond it
+_ENVELOPE_DENSE_POINTS = 16384
+_ENVELOPE_TAIL_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ class CorrectionEnvelope:
     prefix arrays realize by construction.
     """
 
-    def __init__(self, law: LlrLaw, dense_points: int = 16384, tail_points: int = 4096):
+    def __init__(self, law: LlrLaw):
         self.law = law
         lo_mid, hi_mid = law.effective_range(1e-6)
         _, hi_far = law.effective_range(1e-14)
@@ -191,11 +194,11 @@ class CorrectionEnvelope:
         # the term's structure sits within a few shifts of the origin; spend
         # half the dense budget there and the rest out to the 1e-6 quantile
         y_core = min(4.0 * law.shift, y_mid)
-        half = dense_points // 2
+        half = _ENVELOPE_DENSE_POINTS // 2
         grid = np.concatenate([
             np.linspace(0.0, y_core, half, endpoint=False),
-            np.linspace(y_core, y_mid, dense_points - half, endpoint=False),
-            np.linspace(y_mid, y_hi, tail_points),
+            np.linspace(y_core, y_mid, _ENVELOPE_DENSE_POINTS - half, endpoint=False),
+            np.linspace(y_mid, y_hi, _ENVELOPE_TAIL_POINTS),
         ])
         values = np.asarray(correction_term(grid, law), dtype=float)
         self._grid = grid

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from ordfuse.cli import ConfigError, load_config, main, run_experiment
-from ordfuse.dp_policy import CostMode, PolicyTable
-from ordfuse.sensing_model import MeasurementModel
+from ordfuse.dp_policy import CostMode, CostModel, PolicyTable
+from ordfuse.fading_link import FadingConfig
+from ordfuse.sensing_model import MeasurementModel, ScenarioConfig
 
 
 def _write(tmp_path, text, name="config.ini"):
@@ -107,7 +109,7 @@ class TestRunExperiment:
             f"output = {tmp_path / 'out'}\ndetector = bs\n",
         )
         bundle = load_config(cfg)
-        written = run_experiment(bundle.experiment, bundle)
+        written = run_experiment(bundle)
         csv_path = tmp_path / "out" / "custom.csv"
         meta_path = tmp_path / "out" / "custom.meta.json"
         assert csv_path in written and meta_path in written
@@ -125,10 +127,10 @@ class TestRunExperiment:
             f"output = {tmp_path / 'out'}\ndetector = block-map\n",
         )
         bundle = load_config(cfg)
-        run_experiment(bundle.experiment, bundle)
+        run_experiment(bundle)
         first = (tmp_path / "out" / "custom.csv").read_bytes()
         first_meta = (tmp_path / "out" / "custom.meta.json").read_bytes()
-        run_experiment(bundle.experiment, bundle)
+        run_experiment(bundle)
         assert (tmp_path / "out" / "custom.csv").read_bytes() == first
         assert (tmp_path / "out" / "custom.meta.json").read_bytes() == first_meta
 
@@ -139,7 +141,7 @@ class TestRunExperiment:
             f"output = {tmp_path / 'out'}\n",
         )
         bundle = load_config(cfg)
-        run_experiment(bundle.experiment, bundle)
+        run_experiment(bundle)
         lines = (tmp_path / "out" / "fig-thresholds-vs-stage.csv").read_text().splitlines()
         assert lines[0] == "c,stage,pi_low,pi_high,llr_equiv_declare_busy,llr_equiv_declare_free"
         assert len(lines) == 1 + 3 * 8  # three costs, eight stages
@@ -154,12 +156,50 @@ class TestRunExperiment:
             f"output = {tmp_path / 'out'}\nc_values = 0, 0.001\n",
         )
         bundle = load_config(cfg)
-        run_experiment(bundle.experiment, bundle)
+        run_experiment(bundle)
         lines = (tmp_path / "out" / "fig-sensing-vs-c.csv").read_text().splitlines()
         assert lines[0].startswith("c,avg_sensing_time,p_error")
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0)
+
+
+    def test_sidecar_records_every_config_field(self, tmp_path):
+        # every value differs from its default, so a key the loader drops shows
+        scenario = {
+            "M": 4, "N": 2, "K": 3, "tau_s": 2.0, "tau_N": 0.3, "tau": 0.2, "pi0": 0.4,
+            "sigma2": 1.5, "sigma2_s": [3.0] * 4, "measurement_model": "shift-in-mean",
+            "mu0": [-0.5] * 4, "mu1": [0.75] * 4, "rng_seed": 7,
+        }
+        cost = {
+            "mode": "weighted-throughput", "omega": 0.3, "R_p": 2.0, "R_s": 1.5,
+            "eta_p": 0.9, "eta_s": 0.8, "delta_p": 0.1, "delta_s": 0.2, "e_pt": 0.01,
+            "e_st": 0.02, "P_col": 0.3, "L_f": 0.2, "L_b": 0.1, "c": 0.001,
+        }
+        fading = {
+            "W": 40000.0, "bits": 16, "tau_b": 0.0004, "P_over_sigma": [4.0, 5.0, 6.0, 7.0],
+            "Gamma": [2.5] * 4, "gain_mean": [1.2] * 4, "T_c": 2,
+        }
+
+        def section(name, values):
+            lines = [f"[{name}]"]
+            for key, value in values.items():
+                text = ", ".join(map(str, value)) if isinstance(value, list) else value
+                lines.append(f"{key} = {text}")
+            return "\n".join(lines) + "\n"
+
+        text = section("scenario", scenario) + section("cost", cost) + section("fading", fading)
+        cfg = _write(tmp_path, text + "[experiment]\ntrials = 200\nseed = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "custom.meta.json").read_text())
+        for name, cls, expected in (
+            ("scenario", ScenarioConfig, scenario),
+            ("cost", CostModel, cost),
+            ("fading", FadingConfig, fading),
+        ):
+            assert set(meta[name]) == {f.name for f in fields(cls)}
+            assert meta[name] == expected
 
 
 class TestPresetSmoke:
@@ -181,7 +221,7 @@ class TestPresetSmoke:
             f"output = {tmp_path / 'out'}\n{extra}",
         )
         bundle = load_config(cfg)
-        written = run_experiment(bundle.experiment, bundle)
+        written = run_experiment(bundle)
         csv_path = tmp_path / "out" / f"{preset}.csv"
         assert csv_path in written
         lines = csv_path.read_text().splitlines()
@@ -245,6 +285,29 @@ class TestMain:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         assert (tmp_path / "out" / "fig-thresholds-vs-stage.csv").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["c_values = 0.0, -1", "m_values = 4, 0", "seed = -3", "c_values = abc"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_experiment_value_exit_2(self, tmp_path, capsys, command, entry):
+        preset = "fig-sensing-vs-c" if entry.startswith("c_") else "fig-perror-vs-M"
+        cfg = _write(tmp_path, f"[experiment]\npreset = {preset}\ntrials = 10\n{entry}\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert entry.split()[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[experiment]\ntrials = 10\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", "-3", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dp_on_non_identical_sensors_validates(self, tmp_path):
         cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\ndetector = dp\n")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,17 @@ class TestSerialization:
         assert loaded.cost_model == policy_throughput_default.cost_model
         assert loaded.kind == policy_throughput_default.kind
         assert loaded.tau == policy_throughput_default.tau
+
+        # every cost field survives the file, not only the ones the fixture sets
+        cm = CostModel(
+            mode=CostMode.WEIGHTED_THROUGHPUT, omega=0.3, R_p=2.0, R_s=1.5, eta_p=0.9,
+            eta_s=0.8, delta_p=0.1, delta_s=0.2, e_pt=0.01, e_st=0.02, P_col=0.3,
+            L_f=0.2, L_b=0.1, c=0.001,
+        )
+        defaults = CostModel(mode=CostMode.ERROR_MIN)
+        assert all(getattr(cm, f.name) != getattr(defaults, f.name) for f in fields(CostModel))
+        replace(policy_throughput_default, cost_model=cm).save(path)
+        assert PolicyTable.load(path).cost_model == cm
 
     def test_diagnostics_round_trip(self, policy_throughput_default, tmp_path):
         path = tmp_path / "policy.json"
