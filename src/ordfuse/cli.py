@@ -175,7 +175,8 @@ def _custom_detector_kind(spec: ExperimentSpec) -> str:
 
 
 def _check_runnable(bundle: ConfigBundle) -> None:
-    """Reject a custom run whose detector cannot handle the configured sensors.
+    """Reject a custom run whose detector cannot handle the configured sensors
+    or cost.
 
     Other presets and `solve` do not read the detector, so only the custom
     preset is checked.
@@ -185,6 +186,11 @@ def _check_runnable(bundle: ConfigBundle) -> None:
     kind = _custom_detector_kind(bundle.experiment)
     if kind in IDENTICAL_ONLY_KINDS and not SensorEnsemble.from_config(bundle.scenario).is_identical:
         raise ConfigError(f"[experiment] detector '{kind}' requires identical sensors")
+    if kind == "one-threshold" and not bundle.cost.is_pure_throughput:
+        raise ConfigError(
+            "[experiment] detector 'one-threshold' requires mode = weighted-throughput, "
+            "c = 0 and zero auxiliary costs"
+        )
 
 
 def _parse_keys(raw, section: str, table: dict) -> dict:
@@ -550,7 +556,10 @@ def main(argv=None) -> int:
             policy.save(args.out)
             print(f"policy written to {args.out}")
             diag = policy.diagnostics
-            print(f"quadrature mass error {diag['quadrature_mass_error']:.4g}, {diag['nodes']} nodes")
+            print(
+                f"quadrature mass error {diag['quadrature_mass_error']:.4g}, "
+                f"{diag['nodes']} nodes, grid size {diag['grid_size']}"
+            )
             return 0
         updates = {}
         if args.preset:

@@ -309,6 +309,25 @@ class TestMain:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_one_threshold_needs_pure_throughput_cost_exit_2(self, tmp_path, capsys, command):
+        # the default cost is error-min with c = 0.0001, which the one-threshold solve rejects
+        cfg = _write(tmp_path, "[experiment]\ndetector = one-threshold\ntrials = 10\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert "detector 'one-threshold' requires" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_threshold_with_pure_throughput_cost_validates(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            "[cost]\nmode = weighted-throughput\nc = 0\n[experiment]\ndetector = one-threshold\n",
+        )
+        assert main(["validate", "--config", str(cfg)]) == 0
+
     def test_dp_on_non_identical_sensors_validates(self, tmp_path):
         cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\ndetector = dp\n")
         assert main(["validate", "--config", str(cfg)]) == 0
@@ -338,9 +357,11 @@ class TestMain:
         diag = PolicyTable.load(out).diagnostics
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == (
-            f"quadrature mass error {diag['quadrature_mass_error']:.4g}, {diag['nodes']} nodes"
+            f"quadrature mass error {diag['quadrature_mass_error']:.4g}, "
+            f"{diag['nodes']} nodes, grid size {diag['grid_size']}"
         )
         assert diag["nodes"] == 2144
+        assert diag["grid_size"] == 1001
 
     def test_solve_one_threshold_flag(self, tmp_path):
         cfg = _write(tmp_path, "[cost]\nmode = weighted-throughput\nc = 0\n")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ordfuse
+import ordfuse.dp_policy as dp
 from ordfuse.defaults import default_scenario
 from ordfuse.dp_policy import (
     Action,
@@ -24,13 +25,17 @@ from ordfuse.dp_policy import (
     run_policy_batch,
     _belief_grid,
     _continuation,
-    _quadrature_rank_densities,
     solve_backward,
     solve_one_threshold,
 )
 from ordfuse.order_stats import SensorEnsemble, ranked_pdf
-from ordfuse.reference import joint_topk_pdf, posterior_update, posterior_update_exact
-from ordfuse.sensing_model import Hypothesis, draw_slots
+from ordfuse.reference import (
+    dense_continuation,
+    joint_topk_pdf,
+    posterior_update,
+    posterior_update_exact,
+)
+from ordfuse.sensing_model import Hypothesis, MeasurementModel, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
@@ -249,64 +254,68 @@ class TestSolveBackward:
         assert np.all(interior == Action.CONTINUE)
 
 
+def _assert_matches_dense(monkeypatch, cfg, cost_model, ens, grid_size=1001):
+    """Solve with `reference.dense_continuation` as the continuation, and with
+    the runtime one.
+
+    At every stage of the oracle's solve the runtime continuation is
+    evaluated on the same inputs. The two solves must give the same actions
+    and thresholds bit for bit, and values and continuations within 1e-13
+    (observed: about 1e-15).
+    """
+    gaps = [0.0]
+
+    def checked(*args):
+        dense = dense_continuation(*args)
+        gaps.append(float(np.abs(_continuation(*args) - dense).max()))
+        return dense
+
+    with monkeypatch.context() as m:
+        m.setattr(dp, "_continuation", checked)
+        dense = solve_backward(cfg, cost_model, ens, grid_size)
+    fast = solve_backward(cfg, cost_model, ens, grid_size)
+    assert max(gaps) <= 1e-13
+    np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
+    assert np.array_equal(fast.actions, dense.actions)
+    assert np.array_equal(fast.pi_low, dense.pi_low)
+    assert np.array_equal(fast.pi_high, dense.pi_high)
+
+
 class TestContinuation:
-    # one-BLAS-thread evaluation of the dense oracle on the saved cases
-    _DENSE_ORACLE = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from ordfuse.reference import dense_continuation\n"
-        "cases = np.load(sys.argv[1])\n"
-        "n = len(cases.files) // 5\n"
-        "np.savez(sys.argv[2], *[dense_continuation(*(cases[f'arr_{5 * i + j}'] for j in range(5)))\n"
-        "                        for i in range(n)])\n"
-    )
+    def test_matches_dense_reference(self, monkeypatch, scenario, ensemble, non_identical):
+        """The log-odds correlation computes the dense oracle's interpolant
+        exactly, so solves of the identical M=10 and non-identical M=6
+        sensors, under both cost modes and on grids of 1001, 129 and 225
+        points, differ from the oracle's only by rounding."""
+        cfg6, ens6, _ = non_identical
+        for cfg, ens in ((scenario, ensemble), (cfg6, ens6)):
+            for cost_model in (CostModel.error_min(c=0.0001), CostModel.throughput(c=0.0001)):
+                for grid_size in (1001, 129, 225):
+                    _assert_matches_dense(monkeypatch, cfg, cost_model, ens, grid_size)
 
-    @staticmethod
-    def _cases(cfg, ens, policies, grid_sizes):
-        _, weights, f0, f1, _ = _quadrature_rank_densities(cfg, ens)
-        for policy in policies:
-            for size in grid_sizes:
-                grid = _belief_grid(size)
-                for k in range(1, cfg.K):
-                    j_next = np.interp(grid, policy.grid, policy.values[k])
-                    yield grid, j_next, f0[k], f1[k], weights
-
-    def test_blocked_equals_dense_reference(
-        self, tmp_path, scenario, ensemble, policy_error_min, policy_throughput_default,
-        non_identical,
-    ):
-        """Bit-identical to `reference.dense_continuation` for the identical M=10
-        and non-identical M=6 sensors, both cost modes, and grid sizes 1001,
-        129 and 225: each ends in a partial block, and 225 (M=10) or 129 and
-        225 (M=6) leave a single row that joins the block before it.
-
-        The dense product splits its rows across BLAS threads at boundaries
-        that change the summation kernel of a few rows, so the oracle runs in
-        a child process with one BLAS thread; the blocked continuation runs
-        here with whatever thread count the session has.
-        """
-        cfg6, ens6, err6 = non_identical
-        thr6 = solve_backward(cfg6, CostModel.throughput(c=0.0001), ens6)
-        grid_sizes = (1001, 129, 225)
-        cases = [
-            *self._cases(scenario, ensemble, (policy_error_min, policy_throughput_default), grid_sizes),
-            *self._cases(cfg6, ens6, (err6, thr6), grid_sizes),
-        ]
-        np.savez(tmp_path / "cases.npz", *[a for case in cases for a in case])
-        env = dict(os.environ)
-        env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(ordfuse.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    def test_values_reproducible_across_blas_threads(self):
+        """Solve values have the same bytes with one and two BLAS threads."""
+        script = (
+            "import hashlib\n"
+            "from ordfuse.defaults import default_scenario\n"
+            "from ordfuse.dp_policy import CostModel, solve_backward\n"
+            "from ordfuse.order_stats import SensorEnsemble\n"
+            "for cfg in (default_scenario(), default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))):\n"
+            "    policy = solve_backward(cfg, CostModel.error_min(c=0.0001), SensorEnsemble.from_config(cfg))\n"
+            "    print(hashlib.sha256(policy.values.tobytes()).hexdigest())\n"
         )
-        subprocess.run(
-            [sys.executable, "-c", self._DENSE_ORACLE, str(tmp_path / "cases.npz"),
-             str(tmp_path / "dense.npz")],
-            env=env, check=True,
-        )
-        dense = np.load(tmp_path / "dense.npz")
-        assert len(dense.files) == len(cases) == 2 * 3 * (scenario.K - 1 + cfg6.K - 1)
-        for i, case in enumerate(cases):
-            assert np.array_equal(_continuation(*case), dense[f"arr_{i}"]), i
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env.update({var: threads for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(ordfuse.__file__).parents[1]), env.get("PYTHONPATH", "")]
+            )
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True, timeout=300)
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
     def test_peak_memory_is_bounded(self):
         # the M=16 non-identical solve's size: 13,184 nodes on the 1001-point
@@ -324,6 +333,37 @@ class TestContinuation:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+class TestFragileRegimes:
+    """The runtime continuation against the dense oracle at the edges of the
+    parameter space, under both cost modes. Non-identical M=6 sensors are
+    covered by `TestContinuation.test_matches_dense_reference`."""
+
+    @pytest.mark.parametrize(
+        "cost_model",
+        [CostModel.error_min(c=0.0001), CostModel.throughput(c=0.0001)],
+        ids=["error-min", "throughput"],
+    )
+    @pytest.mark.parametrize(
+        "overrides, grid_size",
+        [
+            ({"N": 1}, 1001),
+            ({"sigma2_s": (0.05,) * 10}, 1001),
+            ({"sigma2_s": (50.0,) * 10}, 1001),
+            ({"pi0": 0.01}, 1001),
+            ({"pi0": 0.99}, 1001),
+            ({"K": 1}, 1001),
+            ({"M": 8, "K": 8}, 1001),
+            ({"M": 100, "K": 12, "tau": 0.05}, 129),
+            ({"measurement_model": MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
+              "mu0": (-1.0,) * 10, "mu1": (1.0,) * 10}, 1001),
+        ],
+        ids=["N1", "snr-low", "snr-high", "pi0-low", "pi0-high", "K1", "M8K8", "M100K12", "shift"],
+    )
+    def test_solve_matches_dense_oracle(self, monkeypatch, overrides, grid_size, cost_model):
+        cfg = default_scenario(**overrides)
+        _assert_matches_dense(monkeypatch, cfg, cost_model, SensorEnsemble.from_config(cfg), grid_size)
 
 
 class TestOneThreshold:
@@ -446,8 +486,9 @@ class TestSerialization:
         policy_throughput_default.save(path)
         loaded = PolicyTable.load(path)
         assert loaded.diagnostics == policy_throughput_default.diagnostics
-        assert set(loaded.diagnostics) == {"quadrature_mass_error", "nodes"}
+        assert set(loaded.diagnostics) == {"quadrature_mass_error", "nodes", "grid_size"}
         assert loaded.diagnostics["nodes"] == 2144
+        assert loaded.diagnostics["grid_size"] == policy_throughput_default.grid.size == 1001
         assert 0.0 <= loaded.diagnostics["quadrature_mass_error"] <= 1e-6
         assert concavity_check(loaded)
 
