@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bs_thresholds import (
-    DecisionOutcome,
-    map_block_decision,
-    run_detector,
-    thresholds_at_stage,
-)
+from .bs_thresholds import decide_batch, map_block_batch
 from .dp_policy import (
     Action,
     CostMode,
@@ -15,7 +10,7 @@ from .dp_policy import (
     PolicyTable,
     concavity_check,
     decision_cost,
-    run_policy,
+    run_policy_batch,
     solve_backward,
     solve_one_threshold,
 )
@@ -29,7 +24,6 @@ from .fading_link import (
 )
 from .fusion_sim import (
     SimMetrics,
-    compare_with_block_oracle,
     make_detector,
     run_monte_carlo,
     run_monte_carlo_fading,
@@ -49,8 +43,5 @@ from .sensing_model import (
     Hypothesis,
     MeasurementModel,
     ScenarioConfig,
-    SlotRealization,
-    draw_slot,
-    llr_from_samples,
-    rank_by_magnitude,
+    draw_slots,
 )

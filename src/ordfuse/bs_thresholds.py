@@ -9,49 +9,10 @@ realization, which the tests assert exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .llr_distributions import LlrLaw, correction_term, envelope_for
-from .sensing_model import Hypothesis, ScenarioConfig
-
-
-@dataclass(frozen=True)
-class DecisionOutcome:
-    declared: Hypothesis
-    stage: int
-    sensing_time: float
-
-
-def _ordered_values(ordered) -> np.ndarray:
-    """Accepts plain LLR values or (sensor, llr) pairs."""
-    seq = list(ordered)
-    if seq and isinstance(seq[0], (tuple, list)):
-        seq = [v for _, v in seq]
-    return np.asarray(seq, dtype=float)
-
-
-def thresholds_at_stage(
-    k: int, y_k: float, config: ScenarioConfig, law: LlrLaw
-) -> tuple[float, float]:
-    """(t_low, t_high) for the running LLR sum at stage k given |y_k|.
-
-    At the forced stage k == K the two thresholds coincide.
-    """
-    if not 1 <= k <= config.K:
-        raise ValueError("stage k must satisfy 1 <= k <= K")
-    logprior = config.log_prior_ratio()
-    a = abs(y_k)
-    unreported = config.M - config.K
-    if k == config.K:
-        t = logprior - unreported * correction_term(a, law)
-        return t, t
-    lo_corr, hi_corr = (float(v) for v in envelope_for(law).extrema(a))
-    span = (config.K - k) * a
-    t_low = logprior - span - unreported * hi_corr
-    t_high = logprior + span - unreported * lo_corr
-    return t_low, t_high
+from .sensing_model import ScenarioConfig
 
 
 def _stage_extrema(absy: np.ndarray, law: LlrLaw):
@@ -60,11 +21,11 @@ def _stage_extrema(absy: np.ndarray, law: LlrLaw):
     Combines the envelope's grid extrema with this slot's own later report
     magnitudes so the stage-k extremum always dominates every later query
     point of the same slot, keeping the sequential and block rules aligned.
-    The suffix extrema include the stage's own point, so this equals
-    `envelope_for(law).extrema` combined with them, with the term evaluated
-    once per report.
+    The suffix extrema include the stage's own point, so this equals the
+    extrema over [0, |y_k|] (`reference.envelope_extrema`) combined with
+    them, with the term evaluated once per report.
     """
-    grid_min, grid_max = envelope_for(law)._prefix_extrema(absy)
+    grid_min, grid_max = envelope_for(law).prefix_extrema(absy)
     point = np.asarray(correction_term(absy, law), dtype=float)
     suf_min = np.minimum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
     suf_max = np.maximum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
@@ -119,21 +80,3 @@ def map_block_batch(ordered_values: np.ndarray, config: ScenarioConfig, law: Llr
     corr = (config.M - k_max) * np.asarray(correction_term(np.abs(y[:, -1]), law), dtype=float)
     return (total + corr >= config.log_prior_ratio()).astype(np.int8)
 
-
-def run_detector(ordered, config: ScenarioConfig, law: LlrLaw) -> DecisionOutcome:
-    """Sequential decision on one slot's ordered LLR list."""
-    values = _ordered_values(ordered)
-    if values.size < config.K:
-        raise ValueError(f"need at least K={config.K} ordered values")
-    declared, stage = decide_batch(values[None, :], config, law)
-    k = int(stage[0])
-    return DecisionOutcome(Hypothesis(int(declared[0])), k, config.sensing_time(k))
-
-
-def map_block_decision(ordered_topk, config: ScenarioConfig, law: LlrLaw) -> Hypothesis:
-    """MAP rule on exactly the K largest-magnitude LLRs."""
-    values = _ordered_values(ordered_topk)
-    if values.size != config.K:
-        raise ValueError(f"block rule needs exactly K={config.K} values")
-    declared = map_block_batch(values[None, :], config, law)
-    return Hypothesis(int(declared[0]))

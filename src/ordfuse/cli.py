@@ -186,10 +186,15 @@ def _check_runnable(bundle: ConfigBundle) -> None:
     kind = _custom_detector_kind(bundle.experiment)
     if kind in IDENTICAL_ONLY_KINDS and not SensorEnsemble.from_config(bundle.scenario).is_identical:
         raise ConfigError(f"[experiment] detector '{kind}' requires identical sensors")
-    if kind == "one-threshold" and not bundle.cost.is_pure_throughput:
+    if kind == "one-threshold":
+        _require_pure_throughput(bundle.cost, "[experiment] detector 'one-threshold'")
+
+
+def _require_pure_throughput(cost: CostModel, what: str) -> None:
+    """The cost rule of the one-threshold solve, checked at config time."""
+    if not cost.is_pure_throughput:
         raise ConfigError(
-            "[experiment] detector 'one-threshold' requires mode = weighted-throughput, "
-            "c = 0 and zero auxiliary costs"
+            f"{what} requires mode = weighted-throughput, c = 0 and zero auxiliary costs"
         )
 
 
@@ -550,6 +555,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             ensemble = SensorEnsemble.from_config(bundle.scenario)
             if args.one_threshold:
+                _require_pure_throughput(bundle.cost, "solve --one-threshold")
                 policy = solve_one_threshold(bundle.scenario, bundle.cost, ensemble)
             else:
                 policy = solve_backward(bundle.scenario, bundle.cost, ensemble)

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bs_thresholds import DecisionOutcome, _ordered_values
 from .order_stats import SensorEnsemble, ranked_pdf, ranked_pdfs
 from .sensing_model import Hypothesis, ScenarioConfig
 
@@ -146,9 +145,6 @@ class PolicyTable:
     tau: float
     kind: str = "two-threshold"
     diagnostics: dict = field(default_factory=dict)
-
-    def sensing_time(self, stage: int) -> float:
-        return self.tau_N + stage * self.tau
 
     def save(self, path) -> None:
         payload = {
@@ -431,16 +427,6 @@ def solve_one_threshold(
     if not cost_model.is_pure_throughput:
         raise ValueError("one-threshold solve requires c = 0 and zero auxiliary costs")
     return _solve(config, cost_model, ensemble, grid_size, one_threshold=True)
-
-
-def run_policy(ordered, policy: PolicyTable, ensemble: SensorEnsemble, pi0: float):
-    """Walk one slot's ordered reports through the solved policy."""
-    values = _ordered_values(ordered)
-    if values.size < policy.k_max:
-        raise ValueError(f"need at least K={policy.k_max} ordered values")
-    declared, stage = run_policy_batch(values[None, :], policy, ensemble, pi0)
-    k = int(stage[0])
-    return DecisionOutcome(Hypothesis(int(declared[0])), k, policy.sensing_time(k))
 
 
 def run_policy_batch(

@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bs_thresholds import decide_batch, map_block_batch
-from .dp_policy import CostModel, PolicyTable, run_policy_batch, solve_backward, solve_one_threshold
+from .dp_policy import CostModel, run_policy_batch, solve_backward, solve_one_threshold
 from .fading_link import FadingConfig, effective_config, participation_prob
-from .llr_distributions import LlrLaw, law_for_sensor
+from .llr_distributions import law_for_sensor
 from .order_stats import SensorEnsemble
 from .sensing_model import ScenarioConfig, draw_slots
 
@@ -32,62 +32,15 @@ class SimMetrics:
     decision_confusion: tuple[tuple[int, int], tuple[int, int]]  # [truth][declared]
 
 
-@dataclass(frozen=True)
-class AgreementReport:
-    trials: int
-    agreement_fraction: float
-    n_disagreements: int
-    first_disagreement: dict | None
+def prior_only(pi0: float):
+    """Detector that declares the prior MAP hypothesis without probing (ties go to busy)."""
+    declared = 0 if pi0 > 0.5 else 1
 
-
-class SequentialDetector:
-    """Running-sum detector with data-dependent thresholds."""
-
-    def __init__(self, config: ScenarioConfig, law: LlrLaw):
-        self.config = config
-        self.law = law
-
-    def decide(self, ordered_values):
-        return decide_batch(ordered_values, self.config, self.law)
-
-
-class BlockMapDetector:
-    """One-shot MAP rule on the top-K reports; always probes K sensors."""
-
-    def __init__(self, config: ScenarioConfig, law: LlrLaw):
-        self.config = config
-        self.law = law
-
-    def decide(self, ordered_values):
-        declared = map_block_batch(ordered_values, self.config, self.law)
-        stage = np.full(declared.shape, self.config.K, dtype=np.int64)
-        return declared, stage
-
-
-class PolicyDetector:
-    """Executes a solved belief-threshold policy."""
-
-    def __init__(self, policy: PolicyTable, ensemble: SensorEnsemble, pi0: float):
-        self.policy = policy
-        self.ensemble = ensemble
-        self.pi0 = pi0
-
-    def decide(self, ordered_values):
-        return run_policy_batch(ordered_values, self.policy, self.ensemble, self.pi0)
-
-
-class PriorOnlyDetector:
-    """Declares the prior MAP hypothesis without probing (ties go to busy)."""
-
-    def __init__(self, pi0: float):
-        self.declared = 0 if pi0 > 0.5 else 1
-
-    def decide(self, ordered_values):
+    def decide(ordered_values):
         n = np.asarray(ordered_values).shape[0]
-        return (
-            np.full(n, self.declared, dtype=np.int8),
-            np.zeros(n, dtype=np.int64),
-        )
+        return np.full(n, declared, dtype=np.int8), np.zeros(n, dtype=np.int64)
+
+    return decide
 
 
 DETECTOR_KINDS = ("bs", "block-map", "dp", "one-threshold", "prior-only")
@@ -96,26 +49,34 @@ IDENTICAL_ONLY_KINDS = ("bs", "block-map")
 
 
 def make_detector(kind: str, config: ScenarioConfig, cost_model: CostModel | None = None):
+    """A detector: a callable that maps (n_slots, >=K) ordered LLRs to
+    (declared, stage) arrays, declared in {0, 1} and stage in 0..K.
+
+    The callables look the batch functions up when called, so a wrapper
+    installed on the module (as the benchmark's tracer does) sees every call.
+    """
     ensemble = SensorEnsemble.from_config(config)
     if kind in IDENTICAL_ONLY_KINDS:
         if not ensemble.is_identical:
             raise ValueError(f"detector '{kind}' requires identical sensors")
         law = law_for_sensor(config, 0)
-        if kind == "block-map":
-            return BlockMapDetector(config, law)
-        return SequentialDetector(config, law)
-    if kind == "dp":
+        if kind == "bs":
+            return lambda ordered_values: decide_batch(ordered_values, config, law)
+
+        def block_map(ordered_values):
+            # one-shot MAP on the top-K reports; always probes K sensors
+            declared = map_block_batch(ordered_values, config, law)
+            return declared, np.full(declared.shape, config.K, dtype=np.int64)
+
+        return block_map
+    if kind in ("dp", "one-threshold"):
         if cost_model is None:
-            raise ValueError("dp detector needs a cost model")
-        policy = solve_backward(config, cost_model, ensemble)
-        return PolicyDetector(policy, ensemble, config.pi0)
-    if kind == "one-threshold":
-        if cost_model is None:
-            raise ValueError("one-threshold detector needs a cost model")
-        policy = solve_one_threshold(config, cost_model, ensemble)
-        return PolicyDetector(policy, ensemble, config.pi0)
+            raise ValueError(f"{kind} detector needs a cost model")
+        solve = solve_backward if kind == "dp" else solve_one_threshold
+        policy = solve(config, cost_model, ensemble)
+        return lambda ordered_values: run_policy_batch(ordered_values, policy, ensemble, config.pi0)
     if kind == "prior-only":
-        return PriorOnlyDetector(config.pi0)
+        return prior_only(config.pi0)
     raise ValueError(f"unknown detector kind: {kind}")
 
 
@@ -124,23 +85,12 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _chunks(config: ScenarioConfig, seed: int, total: int, first_key: int = 0):
-    """Draw `total` slots in SIM_CHUNK-sized chunks, each from its own child stream.
-
-    Yields (offset, rng, truth, ordered_values); `rng` is the chunk's stream,
-    left positioned after the slot draws.
-    """
+    """Draw `total` slots in SIM_CHUNK-sized chunks, each from its own child
+    stream; yields (truth, ordered_values) per chunk."""
     for idx, offset in enumerate(range(0, total, SIM_CHUNK)):
         rng = _chunk_rng(seed, first_key + idx)
         truth, _, ordered_values, _ = draw_slots(config, rng, min(SIM_CHUNK, total - offset))
-        yield offset, rng, truth, ordered_values
-
-
-def _bernoulli(prob: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    if prob >= 1.0:
-        return np.ones(n, dtype=bool)
-    if prob <= 0.0:
-        return np.zeros(n, dtype=bool)
-    return rng.random(n) < prob
+        yield truth, ordered_values
 
 
 class _Accumulator:
@@ -154,27 +104,27 @@ class _Accumulator:
         self.thr_s = 0.0
         self.thr_p = 0.0
 
-    def add(self, truth, declared, stage, config: ScenarioConfig,
-            cost_model: CostModel | None, rng: np.random.Generator):
+    def add(self, truth, declared, stage, config: ScenarioConfig, cost_model: CostModel | None):
+        """Book one chunk. Each slot adds its success probability, the
+        expectation of its transmission outcome given truth and decision."""
         cm = cost_model if cost_model is not None else CostModel.throughput()
-        n = truth.shape[0]
         secondary_tx = declared == 0
         clean_s = secondary_tx & (truth == 0)
         collide_s = secondary_tx & (truth == 1)
-        i_s = (clean_s & _bernoulli(cm.eta_s, n, rng)) | (collide_s & _bernoulli(cm.delta_s, n, rng))
+        p_s = clean_s * cm.eta_s + collide_s * cm.delta_s
         silent_p = (truth == 1) & (declared == 1)
         collide_p = (truth == 1) & (declared == 0)
-        i_p = (silent_p & _bernoulli(cm.eta_p, n, rng)) | (collide_p & _bernoulli(cm.delta_p, n, rng))
+        p_p = silent_p * cm.eta_p + collide_p * cm.delta_p
         time_left = 1.0 - (config.tau_N + stage * config.tau) / config.tau_s
-        self.trials += n
+        self.trials += truth.shape[0]
         self.wrong += int(np.count_nonzero(truth != declared))
         self.stage_sum += int(stage.sum())
         self.hist += np.bincount(np.minimum(stage, self.k_max), minlength=self.k_max + 1)
         for t in (0, 1):
             for d in (0, 1):
                 self.confusion[t, d] += int(np.count_nonzero((truth == t) & (declared == d)))
-        self.thr_s += float(np.sum(i_s * cm.R_s * time_left))
-        self.thr_p += float(np.sum(i_p * cm.R_p))
+        self.thr_s += float(np.sum(p_s * cm.R_s * time_left))
+        self.thr_p += float(np.sum(p_p * cm.R_p))
 
     def metrics(self) -> SimMetrics:
         q = self.trials
@@ -198,49 +148,19 @@ def run_monte_carlo(
 ) -> SimMetrics:
     """Simulate `trials` slots through `detector` and aggregate the metrics.
 
-    `cost_model` only feeds the success probabilities and rates of the
-    throughput bookkeeping; defaults are deterministic successes.
+    `detector` is a callable as `make_detector` returns. `cost_model` only
+    feeds the success probabilities and rates of the throughput bookkeeping,
+    which books expectations and so draws nothing; defaults are deterministic
+    successes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seed = config.rng_seed if seed is None else seed
     acc = _Accumulator(config.K)
-    for _, rng, truth, ordered_values in _chunks(config, seed, trials):
-        declared, stage = detector.decide(ordered_values)
-        acc.add(truth, declared, stage, config, cost_model, rng)
+    for truth, ordered_values in _chunks(config, seed, trials):
+        declared, stage = detector(ordered_values)
+        acc.add(truth, declared, stage, config, cost_model)
     return acc.metrics()
-
-
-def compare_with_block_oracle(
-    config: ScenarioConfig, trials: int, seed: int | None = None
-) -> AgreementReport:
-    """Per-realization agreement of the sequential detector with the block MAP
-    rule on shared slot draws; reports the first disagreement if any."""
-    seed = config.rng_seed if seed is None else seed
-    law = law_for_sensor(config, 0)
-    n_disagree = 0
-    first = None
-    for offset, _, truth, ordered_values in _chunks(config, seed, trials):
-        seq_declared, seq_stage = decide_batch(ordered_values, config, law)
-        blk_declared = map_block_batch(ordered_values, config, law)
-        mism = np.flatnonzero(seq_declared != blk_declared)
-        if mism.size and first is None:
-            i = int(mism[0])
-            first = {
-                "slot": offset + i,
-                "truth": int(truth[i]),
-                "sequential": int(seq_declared[i]),
-                "sequential_stage": int(seq_stage[i]),
-                "block": int(blk_declared[i]),
-                "top_k": [float(v) for v in ordered_values[i, : config.K]],
-            }
-        n_disagree += int(mism.size)
-    return AgreementReport(
-        trials=trials,
-        agreement_fraction=1.0 - n_disagree / trials,
-        n_disagreements=n_disagree,
-        first_disagreement=first,
-    )
 
 
 SWEEP_AXES = ("M", "K", "c", "sigma2_s", "omega")
@@ -337,14 +257,14 @@ def run_monte_carlo_fading(
             continue
         if m_eff == 0:
             cfg = config
-            detector = PriorOnlyDetector(config.pi0)
+            detector = prior_only(config.pi0)
         else:
             cfg = effective_config(config, range(m_eff))
             if m_eff not in detectors:
                 detectors[m_eff] = make_detector(detector_kind, cfg, cost_model)
             detector = detectors[m_eff]
         first_key = (1 + m_eff) * 1_000_000
-        for _, rng, truth, ordered_values in _chunks(cfg, seed, n_slots, first_key):
-            declared, stage = detector.decide(ordered_values)
-            acc.add(truth, declared, stage, cfg, cost_model, rng)
+        for truth, ordered_values in _chunks(cfg, seed, n_slots, first_key):
+            declared, stage = detector(ordered_values)
+            acc.add(truth, declared, stage, cfg, cost_model)
     return acc.metrics()

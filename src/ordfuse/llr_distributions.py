@@ -75,12 +75,6 @@ class LlrLaw:
     def scale(self, hyp: Hypothesis) -> float:
         return self.scale0 if hyp == Hypothesis.H0 else self.scale1
 
-    @property
-    def support_low(self) -> float:
-        if self.model is MeasurementModel.ENERGY_CHI_SQUARE:
-            return -self.shift
-        return -math.inf
-
     def effective_range(self, tail_mass: float = 1e-12) -> tuple[float, float]:
         """Interval holding all but `tail_mass` of Y under either hypothesis."""
         if self.model is MeasurementModel.ENERGY_CHI_SQUARE:
@@ -180,13 +174,12 @@ class CorrectionEnvelope:
     """Running extrema of the correction term over [0, y].
 
     Precomputes the term on a dense grid with prefix min/max arrays so that
-    per-query extrema reduce to a searchsorted plus an exact evaluation at
-    the query point. Extrema over nested intervals are monotone, which the
-    prefix arrays realize by construction.
+    per-query grid extrema reduce to a searchsorted; callers combine them
+    with exact evaluations at their own query points. Extrema over nested
+    intervals are monotone, which the prefix arrays realize by construction.
     """
 
     def __init__(self, law: LlrLaw):
-        self.law = law
         lo_mid, hi_mid = law.effective_range(1e-6)
         _, hi_far = law.effective_range(1e-14)
         y_mid = max(abs(lo_mid), abs(hi_mid), 2.0 * law.shift)
@@ -205,18 +198,11 @@ class CorrectionEnvelope:
         self._prefix_min = np.minimum.accumulate(values)
         self._prefix_max = np.maximum.accumulate(values)
 
-    def _prefix_extrema(self, a: np.ndarray):
+    def prefix_extrema(self, a: np.ndarray):
         """(min, max) of the term over the grid points in [0, a], elementwise."""
         idx = np.searchsorted(self._grid, a, side="right") - 1
         idx = np.clip(idx, 0, len(self._grid) - 1)
         return self._prefix_min[idx], self._prefix_max[idx]
-
-    def extrema(self, y):
-        """(min, max) of the correction term over [0, y], elementwise in y."""
-        a = np.abs(np.asarray(y, dtype=float))
-        grid_min, grid_max = self._prefix_extrema(a)
-        point = np.asarray(correction_term(a, self.law), dtype=float)
-        return np.minimum(grid_min, point), np.maximum(grid_max, point)
 
 
 @functools.lru_cache(maxsize=32)

@@ -2,28 +2,142 @@
 
 Nothing in the runtime imports this module and `ordfuse` does not re-export
 it. Each function computes, by a slower or more direct route, a quantity the
-runtime gets elsewhere: the correction-term extrema (`CorrectionEnvelope`),
-the belief update (`run_policy_batch`), the solver's continuation over the
-whole belief grid at once (`dp_policy._continuation`), and the exact rank
-densities and subset sums behind the solver's marginal recursion.
+runtime gets elsewhere: one sensor's LLR from its samples and the magnitude
+ranking (`draw_slots`), the band thresholds at one stage (`decide_batch`),
+the correction-term extrema over an interval (`CorrectionEnvelope` and
+`bs_thresholds._stage_extrema`), the belief
+update (`run_policy_batch`), the solver's continuation over the whole belief
+grid at once (`dp_policy._continuation`), and the exact rank densities and
+subset sums behind the solver's marginal recursion. `compare_with_block_oracle`
+runs the sequential band detector and block MAP on the Monte Carlo engine's
+slot stream and reports where they disagree.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .bs_thresholds import decide_batch, map_block_batch
 from .dp_policy import PosteriorUndefined
-from .llr_distributions import LlrLaw, central_mass, correction_term, exceed_prob, llr_pdf
+from .fusion_sim import _chunks
+from .llr_distributions import (
+    LlrLaw,
+    central_mass,
+    correction_term,
+    envelope_for,
+    exceed_prob,
+    law_for_sensor,
+    llr_pdf,
+)
 from .order_stats import SensorEnsemble, ranked_pdf, weighted_subset_coeffs
-from .sensing_model import Hypothesis
+from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class UndefinedConditional(ValueError):
     """Conditional density requested at a point of zero marginal density."""
+
+
+# ---------------------------------------------------------------------------
+# Slot model
+
+
+def llr_from_samples(samples, sensor: int, config: ScenarioConfig) -> float:
+    """Local log-likelihood ratio of one sensor's N samples."""
+    x = np.asarray(samples, dtype=float)
+    if x.shape != (config.N,):
+        raise ValueError(f"expected {config.N} samples, got shape {x.shape}")
+    if config.measurement_model is MeasurementModel.ENERGY_CHI_SQUARE:
+        g = config.snr(sensor)
+        energy = float(np.sum(x * x))
+        return (g / (g + 1.0)) * energy / (2.0 * config.sigma2) - 0.5 * config.N * math.log1p(g)
+    m0 = config.mu0[sensor]
+    m1 = config.mu1[sensor]
+    return float(np.sum((x - m0) ** 2 - (x - m1) ** 2)) / (2.0 * config.sigma2)
+
+
+def rank_by_magnitude(llr) -> list[tuple[int, float]]:
+    """(sensor, llr) pairs sorted by descending |llr|; ties keep the lower index."""
+    values = np.asarray(llr, dtype=float)
+    if values.size == 0:
+        raise ValueError("cannot rank an empty LLR list")
+    order = np.argsort(-np.abs(values), kind="stable")
+    return [(int(i), float(values[i])) for i in order]
+
+
+# ---------------------------------------------------------------------------
+# Band thresholds and the sequential/block agreement
+
+
+def thresholds_at_stage(
+    k: int, y_k: float, config: ScenarioConfig, law: LlrLaw
+) -> tuple[float, float]:
+    """(t_low, t_high) for the running LLR sum at stage k given |y_k|.
+
+    Reads only the envelope's extrema over [0, |y_k|], not the slot's later
+    reports that `decide_batch` also folds in. At the forced stage k == K the
+    two thresholds coincide.
+    """
+    if not 1 <= k <= config.K:
+        raise ValueError("stage k must satisfy 1 <= k <= K")
+    logprior = config.log_prior_ratio()
+    a = abs(y_k)
+    unreported = config.M - config.K
+    if k == config.K:
+        t = logprior - unreported * correction_term(a, law)
+        return t, t
+    lo_corr, hi_corr = (float(v) for v in envelope_extrema(a, law))
+    span = (config.K - k) * a
+    t_low = logprior - span - unreported * hi_corr
+    t_high = logprior + span - unreported * lo_corr
+    return t_low, t_high
+
+
+@dataclass(frozen=True)
+class AgreementReport:
+    trials: int
+    agreement_fraction: float
+    n_disagreements: int
+    first_disagreement: dict | None
+
+
+def compare_with_block_oracle(
+    config: ScenarioConfig, trials: int, seed: int | None = None
+) -> AgreementReport:
+    """Per-realization agreement of the sequential detector with the block MAP
+    rule on the slots `run_monte_carlo` draws for this seed; reports the
+    first disagreement if any."""
+    seed = config.rng_seed if seed is None else seed
+    law = law_for_sensor(config, 0)
+    n_disagree = 0
+    first = None
+    offset = 0
+    for truth, ordered_values in _chunks(config, seed, trials):
+        seq_declared, seq_stage = decide_batch(ordered_values, config, law)
+        blk_declared = map_block_batch(ordered_values, config, law)
+        mism = np.flatnonzero(seq_declared != blk_declared)
+        if mism.size and first is None:
+            i = int(mism[0])
+            first = {
+                "slot": offset + i,
+                "truth": int(truth[i]),
+                "sequential": int(seq_declared[i]),
+                "sequential_stage": int(seq_stage[i]),
+                "block": int(blk_declared[i]),
+                "top_k": [float(v) for v in ordered_values[i, : config.K]],
+            }
+        n_disagree += int(mism.size)
+        offset += truth.shape[0]
+    return AgreementReport(
+        trials=trials,
+        agreement_fraction=1.0 - n_disagree / trials,
+        n_disagreements=n_disagree,
+        first_disagreement=first,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +184,15 @@ def refine_extrema(f, grid: np.ndarray, values: np.ndarray, tol: float = 1e-10):
                 best = cand
         out.append(best)
     return float(out[0]), float(out[1])
+
+
+def envelope_extrema(y, law: LlrLaw):
+    """(min, max) of the correction term over [0, |y|], elementwise in y: the
+    envelope's grid extrema combined with the exact term at |y|."""
+    a = np.abs(np.asarray(y, dtype=float))
+    grid_min, grid_max = envelope_for(law).prefix_extrema(a)
+    point = np.asarray(correction_term(a, law), dtype=float)
+    return np.minimum(grid_min, point), np.maximum(grid_max, point)
 
 
 def correction_extrema(y_max: float, law: LlrLaw, grid_size: int = 512) -> tuple[float, float]:

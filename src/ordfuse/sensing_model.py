@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,42 +87,14 @@ class ScenarioConfig:
         return math.log(self.pi0 / (1.0 - self.pi0))
 
 
-@dataclass(frozen=True)
-class SlotRealization:
-    true_hypothesis: Hypothesis
-    llr: tuple[float, ...]
-    ordered: tuple[tuple[int, float], ...] = field(repr=False)
-
-
-def llr_from_samples(samples, sensor: int, config: ScenarioConfig) -> float:
-    """Local log-likelihood ratio of one sensor's N samples."""
-    x = np.asarray(samples, dtype=float)
-    if x.shape != (config.N,):
-        raise ValueError(f"expected {config.N} samples, got shape {x.shape}")
-    if config.measurement_model is MeasurementModel.ENERGY_CHI_SQUARE:
-        g = config.snr(sensor)
-        energy = float(np.sum(x * x))
-        return (g / (g + 1.0)) * energy / (2.0 * config.sigma2) - 0.5 * config.N * math.log1p(g)
-    m0 = config.mu0[sensor]
-    m1 = config.mu1[sensor]
-    return float(np.sum((x - m0) ** 2 - (x - m1) ** 2)) / (2.0 * config.sigma2)
-
-
-def rank_by_magnitude(llr) -> list[tuple[int, float]]:
-    """(sensor, llr) pairs sorted by descending |llr|; ties keep the lower index."""
-    values = np.asarray(llr, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot rank an empty LLR list")
-    order = np.argsort(-np.abs(values), kind="stable")
-    return [(int(i), float(values[i])) for i in order]
-
-
 def draw_slots(config: ScenarioConfig, rng: np.random.Generator, n_slots: int):
     """Vectorized slot draws.
 
-    Returns (truth, llr, ordered_values) where truth is (n,) of {0,1},
-    llr is (n, M) and ordered_values is (n, M) sorted by descending |llr|
-    per slot (ties broken by lower sensor index via a stable sort).
+    Returns (truth, llr, ordered_values, order) where truth is (n,) of
+    {0,1}, llr is (n, M), ordered_values is (n, M) sorted by descending |llr|
+    per slot (ties broken by lower sensor index via a stable sort) and order
+    holds the sensor index of each ordered value. A single slot is the
+    one-row case.
     """
     m, n_samp = config.M, config.N
     truth = (rng.random(n_slots) >= config.pi0).astype(np.int8)  # 1 = busy
@@ -148,14 +120,3 @@ def draw_slots(config: ScenarioConfig, rng: np.random.Generator, n_slots: int):
     ordered_values = np.take_along_axis(llr, order, axis=1)
     return truth, llr, ordered_values, order
 
-
-def draw_slot(config: ScenarioConfig, rng: np.random.Generator) -> SlotRealization:
-    """One slot: primary state, per-sensor LLRs and the ordered report sequence."""
-    truth, llr, _, order = draw_slots(config, rng, 1)
-    values = llr[0]
-    ordered = tuple((int(i), float(values[i])) for i in order[0])
-    return SlotRealization(
-        true_hypothesis=Hypothesis(int(truth[0])),
-        llr=tuple(float(v) for v in values),
-        ordered=ordered,
-    )

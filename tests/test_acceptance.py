@@ -22,16 +22,15 @@ from ordfuse.dp_policy import (
     solve_one_threshold,
 )
 from ordfuse.fading_link import participation_prob
-from ordfuse.fusion_sim import (
-    compare_with_block_oracle,
-    make_detector,
-    run_monte_carlo,
-    run_monte_carlo_fading,
-    sweep,
-)
+from ordfuse.fusion_sim import make_detector, run_monte_carlo, run_monte_carlo_fading, sweep
 from ordfuse.llr_distributions import LlrLaw, correction_term, exceed_prob, llr_pdf
 from ordfuse.order_stats import SensorEnsemble, ranked_pdf
-from ordfuse.reference import joint_topk_pdf, posterior_update_exact, subset_weight_sum
+from ordfuse.reference import (
+    compare_with_block_oracle,
+    joint_topk_pdf,
+    posterior_update_exact,
+    subset_weight_sum,
+)
 from ordfuse.sensing_model import Hypothesis, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -111,10 +110,11 @@ def test_criterion_4_genie_throughput_limit(policy_m60):
     started = time.time()
     cfg, cm, policy = policy_m60
     ens = SensorEnsemble.from_config(cfg)
-    from ordfuse.fusion_sim import PolicyDetector
 
-    met = run_monte_carlo(cfg, PolicyDetector(policy, ens, cfg.pi0), 100_000,
-                          seed=60613, cost_model=cm)
+    def detector(ordered_values):
+        return run_policy_batch(ordered_values, policy, ens, cfg.pi0)
+
+    met = run_monte_carlo(cfg, detector, 100_000, seed=60613, cost_model=cm)
     target = cfg.pi0 * (1.0 - (cfg.tau_N + cfg.tau) / cfg.tau_s)
     ok = abs(met.norm_throughput_secondary - target) <= 0.02
     _report(

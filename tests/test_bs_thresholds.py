@@ -3,25 +3,47 @@ import math
 import numpy as np
 import pytest
 
-from ordfuse.bs_thresholds import (
-    decide_batch,
-    map_block_batch,
-    map_block_decision,
-    run_detector,
+from ordfuse import bs_thresholds, llr_distributions
+from ordfuse.bs_thresholds import _stage_extrema, decide_batch, map_block_batch
+from ordfuse.defaults import default_scenario
+from ordfuse.llr_distributions import correction_term, envelope_for, law_for_sensor
+from ordfuse.reference import (
+    compare_with_block_oracle,
+    correction_extrema,
+    envelope_extrema,
     thresholds_at_stage,
 )
-from ordfuse import bs_thresholds, llr_distributions
-from ordfuse.bs_thresholds import _stage_extrema
-from ordfuse.defaults import default_scenario
-from ordfuse.fusion_sim import compare_with_block_oracle
-from ordfuse.llr_distributions import correction_term, envelope_for, law_for_sensor
-from ordfuse.reference import correction_extrema
 from ordfuse.sensing_model import Hypothesis, MeasurementModel, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
 
+def _one_row(values) -> np.ndarray:
+    """One slot's ordered values as the single row of a batch."""
+    return np.asarray(values, dtype=float)[None, :]
+
+
 class TestThresholdsAtStage:
+    @pytest.mark.parametrize("which", ["energy", "shift"])
+    def test_batch_decisions_follow_stage_thresholds(self, which, request):
+        # oracle: walk each slot's running sum through the reference band,
+        # stage by stage; decide_batch must stop at the same stage with the
+        # same declaration (every sum here stays over 2e-3 from a threshold,
+        # far beyond the envelope's 1e-6 certification, so agreement is exact)
+        cfg = request.getfixturevalue("scenario" if which == "energy" else "shift_scenario")
+        law = law_for_sensor(cfg, 0)
+        _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(43), 1000)
+        declared, stage = decide_batch(ordered, cfg, law)
+        for i, row in enumerate(ordered):
+            running = 0.0
+            for k in range(1, cfg.K + 1):
+                running += row[k - 1]
+                lo, hi = thresholds_at_stage(k, row[k - 1], cfg, law)
+                if k == cfg.K or running < lo or running > hi:
+                    break
+            assert stage[i] == k
+            assert declared[i] == (running >= lo if k == cfg.K else running > hi)
+
     def test_final_stage_collapses(self, scenario, law):
         lo, hi = thresholds_at_stage(scenario.K, 1.3, scenario, law)
         assert lo == hi
@@ -110,7 +132,7 @@ class TestThresholdsAtStage:
         absy = np.abs(ordered[:, : cfg.K])
         rho_min, rho_max, point = _stage_extrema(absy, law)
 
-        env_min, env_max = envelope_for(law).extrema(absy)
+        env_min, env_max = envelope_extrema(absy, law)
         ref_point = np.asarray(correction_term(absy, law), dtype=float)
         suf_min = np.minimum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
         suf_max = np.maximum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
@@ -124,35 +146,28 @@ class TestRunDetector:
         cfg = default_scenario(M=1, K=1, sigma2_s=(2.0,))
         law = law_for_sensor(cfg, 0)
         for y in (-2.0, -0.1, 0.0, 0.1, 2.0):
-            out = run_detector([y], cfg, law)
-            assert out.stage == 1
-            assert out.declared == (H1 if y >= 0.0 else H0)
+            declared, stage = decide_batch(_one_row([y]), cfg, law)
+            assert stage[0] == 1
+            assert declared[0] == (H1 if y >= 0.0 else H0)
 
     def test_all_zero_llrs_prior_tilt(self, law):
         # zero sum sits below the prior-tilted threshold, so the channel is
         # declared free; with zero magnitudes the band collapses immediately
         cfg = default_scenario(pi0=0.6)
-        out = run_detector([0.0] * 10, cfg, law)
-        assert out.declared == H0
-        assert map_block_decision([0.0] * cfg.K, cfg, law) == H0
+        declared, _ = decide_batch(_one_row([0.0] * 10), cfg, law)
+        assert declared[0] == H0
+        assert map_block_batch(_one_row([0.0] * cfg.K), cfg, law)[0] == H0
 
     def test_sensing_time(self, scenario, law):
         _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(5), 1)
-        out = run_detector(ordered[0], scenario, law)
-        assert out.sensing_time == pytest.approx(scenario.tau_N + out.stage * scenario.tau)
-        assert out.sensing_time <= scenario.tau_s + 1e-12
-
-    def test_accepts_index_value_pairs(self, scenario, law):
-        from ordfuse.sensing_model import draw_slot
-
-        slot = draw_slot(scenario, np.random.default_rng(8))
-        a = run_detector(slot.ordered, scenario, law)
-        b = run_detector([v for _, v in slot.ordered], scenario, law)
-        assert a == b
+        _, stage = decide_batch(ordered, scenario, law)
+        sensing_time = scenario.sensing_time(int(stage[0]))
+        assert sensing_time == pytest.approx(scenario.tau_N + stage[0] * scenario.tau)
+        assert sensing_time <= scenario.tau_s + 1e-12
 
     def test_too_few_values_rejected(self, scenario, law):
         with pytest.raises(ValueError, match="K"):
-            run_detector([1.0, -0.5], scenario, law)
+            decide_batch(_one_row([1.0, -0.5]), scenario, law)
 
     def test_matches_block_decision_per_slot(self, scenario, law):
         truth, _, ordered, _ = draw_slots(scenario, np.random.default_rng(11), 20_000)
@@ -167,13 +182,13 @@ class TestRunDetector:
         assert np.array_equal(d_seq, d_blk)
 
     def test_single_slot_wrapper_matches_batch(self, scenario, law):
+        # a single slot is a one-row batch and decides as it does in the batch
         _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(13), 200)
         declared, stage = decide_batch(ordered, scenario, law)
         for i in range(0, 200, 17):
-            out = run_detector(ordered[i], scenario, law)
-            assert out.declared == declared[i]
-            assert out.stage == stage[i]
-
+            one_declared, one_stage = decide_batch(ordered[i : i + 1], scenario, law)
+            assert one_declared[0] == declared[i]
+            assert one_stage[0] == stage[i]
 
     def test_correction_term_evaluated_once_per_report(self, scenario, law, monkeypatch):
         envelope_for(law)  # build the cached envelope before counting
@@ -219,8 +234,9 @@ class TestFragileRegimes:
 class TestMapBlockDecision:
     def test_equal_priors_sign_rule_when_all_report(self, law):
         cfg = default_scenario(M=8, K=8)
-        assert map_block_decision([2.0, -1.0, 0.5, -0.4, 0.3, -0.2, 0.1, -0.05], cfg, law) == H1
-        assert map_block_decision([-2.0, 1.0, -0.5, 0.4, -0.3, 0.2, -0.1, 0.05], cfg, law) == H0
+        busy = _one_row([2.0, -1.0, 0.5, -0.4, 0.3, -0.2, 0.1, -0.05])
+        assert map_block_batch(busy, cfg, law)[0] == H1
+        assert map_block_batch(-busy, cfg, law)[0] == H0
 
     def test_prior_tilt_toward_busy(self, shift_scenario, shift_law):
         # zero sum and zero correction with a busy-leaning prior declares busy
@@ -231,11 +247,7 @@ class TestMapBlockDecision:
             mu1=(1.0,) * 10,
         )
         values = [1.0, -1.0, 0.8, -0.8, 0.5, -0.5, 0.2, -0.2]
-        assert map_block_decision(values, cfg, shift_law) == H1
-
-    def test_exact_count_required(self, scenario, law):
-        with pytest.raises(ValueError, match="exactly"):
-            map_block_decision([1.0] * 7, scenario, law)
+        assert map_block_batch(_one_row(values), cfg, shift_law)[0] == H1
 
     def test_error_rate_matches_direct_law_sampling_oracle(self, scenario, law):
         # independent oracle: sample the LLR law directly (no Gaussian pipeline)

@@ -369,11 +369,13 @@ class TestMain:
         assert main(["solve", "--config", str(cfg), "--out", str(out), "--one-threshold"]) == 0
         assert PolicyTable.load(out).kind == "one-threshold"
 
-    def test_solve_incompatible_cost_exit_3(self, tmp_path, capsys):
+    def test_solve_incompatible_cost_exit_2(self, tmp_path, capsys):
+        # the cost rule of the one-threshold solve is checked before solving
         cfg = _write(tmp_path, "[cost]\nmode = weighted-throughput\nc = 0.1\n")
         out = tmp_path / "policy.json"
-        assert main(["solve", "--config", str(cfg), "--out", str(out), "--one-threshold"]) == 3
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--one-threshold"]) == 2
         assert "one-threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_with_overrides(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[experiment]\npreset = custom\ndetector = bs\n")

@@ -21,7 +21,6 @@ from ordfuse.dp_policy import (
     accumulated_llr_equivalent,
     concavity_check,
     decision_cost,
-    run_policy,
     run_policy_batch,
     _belief_grid,
     _continuation,
@@ -387,9 +386,10 @@ class TestOneThreshold:
         )
 
     def test_certain_free_declares_free(self, policy_one_threshold, ensemble):
-        out = run_policy([0.5] * 8, policy_one_threshold, ensemble, pi0=1.0)
-        assert out.declared == H0
-        assert out.stage == 1
+        declared, stage = run_policy_batch(
+            np.full((1, 8), 0.5), policy_one_threshold, ensemble, pi0=1.0)
+        assert declared[0] == H0
+        assert stage[0] == 1
 
     def test_threshold_shape_matches_zero_lower_threshold(self, policy_one_threshold):
         # free-side thresholds strictly inside (0, 1); busy side pinned at 0
@@ -405,20 +405,22 @@ class TestRunPolicy:
         assert np.all(stage == 1)
 
     def test_certain_free_prior(self, scenario, ensemble, policy_throughput_default):
-        out = run_policy([1.0] * 8, policy_throughput_default, ensemble, pi0=1.0)
-        assert out.declared == H0
-        assert out.stage == 1
-        assert out.sensing_time == pytest.approx(scenario.tau_N + scenario.tau)
+        declared, stage = run_policy_batch(
+            np.ones((1, 8)), policy_throughput_default, ensemble, pi0=1.0)
+        assert declared[0] == H0
+        assert stage[0] == 1
+        assert scenario.sensing_time(int(stage[0])) == pytest.approx(scenario.tau_N + scenario.tau)
 
     @staticmethod
     def _assert_single_matches_batch(cfg, ensemble, policy, n_slots=50):
+        # each slot run alone, as a one-row batch, decides as it does in the batch
         _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(53), n_slots)
         declared, stage = run_policy_batch(ordered, policy, ensemble, cfg.pi0)
         for i in range(n_slots):
-            out = run_policy(ordered[i], policy, ensemble, cfg.pi0)
-            assert out.declared == declared[i]
-            assert out.stage == stage[i]
-            assert out.sensing_time == policy.sensing_time(int(stage[i]))
+            one_declared, one_stage = run_policy_batch(
+                ordered[i : i + 1], policy, ensemble, cfg.pi0)
+            assert one_declared[0] == declared[i]
+            assert one_stage[0] == stage[i]
 
     def test_single_and_batch_agree(self, scenario, ensemble, policy_error_min):
         self._assert_single_matches_batch(scenario, ensemble, policy_error_min)
@@ -431,7 +433,7 @@ class TestRunPolicy:
     def test_report_outside_support_raises(self, ensemble, policy_error_min):
         # -5.0 lies below the energy law's support, so no rank density is positive
         with pytest.raises(PosteriorUndefined):
-            run_policy([-5.0] * 8, policy_error_min, ensemble, pi0=0.5)
+            run_policy_batch(np.full((1, 8), -5.0), policy_error_min, ensemble, pi0=0.5)
 
     def test_report_outside_support_after_stopping_is_ignored(self, ensemble, policy_error_min):
         # the first slot declares busy on its first report; its later reports

@@ -5,119 +5,109 @@ import pytest
 
 from ordfuse.defaults import default_scenario
 from ordfuse.dp_policy import CostModel
-from ordfuse.fusion_sim import (
-    AgreementReport,
-    BlockMapDetector,
-    PriorOnlyDetector,
-    SequentialDetector,
-    compare_with_block_oracle,
-    make_detector,
-    run_monte_carlo,
-    sweep,
-)
-
-
-class _GenieDetector:
-    """Declares the true hypothesis after one probe (test oracle only)."""
-
-    def __init__(self):
-        self._truth = None
-
-    def remember(self, truth):
-        self._truth = truth
-
-    def decide(self, ordered_values):
-        n = ordered_values.shape[0]
-        return self._truth.astype(np.int8), np.ones(n, dtype=np.int64)
+from ordfuse.fusion_sim import make_detector, prior_only, run_monte_carlo, sweep
+from ordfuse.reference import AgreementReport, compare_with_block_oracle
 
 
 class TestRunMonteCarlo:
-    def test_metrics_bookkeeping(self, scenario, law):
-        met = run_monte_carlo(scenario, SequentialDetector(scenario, law), 5_000, seed=1)
+    def test_metrics_bookkeeping(self, scenario):
+        met = run_monte_carlo(scenario, make_detector("bs", scenario), 5_000, seed=1)
         assert met.trials == 5_000
         assert sum(met.stage_histogram) == 5_000
         assert sum(sum(row) for row in met.decision_confusion) == 5_000
         assert 0.0 <= met.p_error <= 1.0
         assert met.norm_throughput_secondary >= 0.0
 
-    def test_same_seed_reproducible(self, scenario, law):
-        a = run_monte_carlo(scenario, SequentialDetector(scenario, law), 20_000, seed=97)
-        b = run_monte_carlo(scenario, SequentialDetector(scenario, law), 20_000, seed=97)
+    def test_same_seed_reproducible(self, scenario):
+        a = run_monte_carlo(scenario, make_detector("bs", scenario), 20_000, seed=97)
+        b = run_monte_carlo(scenario, make_detector("bs", scenario), 20_000, seed=97)
         assert a == b
 
     def test_prior_only_error_rate(self, scenario):
         # always declaring busy errs exactly on the free slots
-        met = run_monte_carlo(scenario, PriorOnlyDetector(scenario.pi0), 40_000, seed=2)
+        met = run_monte_carlo(scenario, prior_only(scenario.pi0), 40_000, seed=2)
         se = math.sqrt(0.25 / 40_000)
         assert met.p_error == pytest.approx(0.5, abs=3 * se)
         assert met.stage_histogram[0] == 40_000
 
     def test_genie_throughput_formula(self, scenario):
-        # one perfect probe: pi0 * R_s * (1 - (tau_N + tau)/tau_s) = 0.35
-        genie = _GenieDetector()
-
-        class Wrapper:
-            def decide(self, ordered_values):
-                return genie.decide(ordered_values)
-
-        # run manually so the genie can see the truth stream
-        from ordfuse.fusion_sim import SIM_CHUNK, _Accumulator, _chunk_rng
-        from ordfuse.sensing_model import draw_slots
+        # one perfect probe: pi0 * R_s * (1 - (tau_N + tau)/tau_s) = 0.35;
+        # the genie declares the true hypothesis, so it runs beside the
+        # engine's chunk stream, which it needs to see
+        from ordfuse.fusion_sim import _Accumulator, _chunks
 
         acc = _Accumulator(scenario.K)
-        done, chunk = 0, 0
-        while done < 40_000:
-            n = min(SIM_CHUNK, 40_000 - done)
-            rng = _chunk_rng(123, chunk)
-            truth, _, ordered, _ = draw_slots(scenario, rng, n)
-            genie.remember(truth)
-            declared, stage = Wrapper().decide(ordered)
-            acc.add(truth, declared, stage, scenario, None, rng)
-            done += n
-            chunk += 1
+        for truth, ordered in _chunks(scenario, 123, 40_000):
+            stage = np.ones(ordered.shape[0], dtype=np.int64)
+            acc.add(truth, truth.astype(np.int8), stage, scenario, None)
         met = acc.metrics()
         assert met.p_error == 0.0
         se = math.sqrt(0.25 / 40_000) * 0.7
         assert met.norm_throughput_secondary == pytest.approx(0.35, abs=3 * se)
 
-    def test_throughput_cannot_beat_genie_bound(self, scenario, law):
+    def test_throughput_cannot_beat_genie_bound(self, scenario):
         bound = scenario.pi0 * (1.0 - (scenario.tau_N + scenario.tau) / scenario.tau_s)
         for detector in (
-            SequentialDetector(scenario, law),
-            BlockMapDetector(scenario, law),
+            make_detector("bs", scenario),
+            make_detector("block-map", scenario),
             make_detector("dp", scenario, CostModel.throughput()),
         ):
             met = run_monte_carlo(scenario, detector, 20_000, seed=3)
             se = math.sqrt(0.25 / 20_000)
             assert met.norm_throughput_secondary <= bound + 3 * se
 
-    def test_block_map_always_probes_k(self, scenario, law):
-        met = run_monte_carlo(scenario, BlockMapDetector(scenario, law), 2_000, seed=4)
+    def test_block_map_always_probes_k(self, scenario):
+        met = run_monte_carlo(scenario, make_detector("block-map", scenario), 2_000, seed=4)
         assert met.stage_histogram[scenario.K] == 2_000
         assert met.avg_stage == scenario.K
 
-    def test_bs_and_block_match_on_shared_stream(self, scenario, law):
-        a = run_monte_carlo(scenario, SequentialDetector(scenario, law), 30_000, seed=5)
-        b = run_monte_carlo(scenario, BlockMapDetector(scenario, law), 30_000, seed=5)
+    def test_bs_and_block_match_on_shared_stream(self, scenario):
+        a = run_monte_carlo(scenario, make_detector("bs", scenario), 30_000, seed=5)
+        b = run_monte_carlo(scenario, make_detector("block-map", scenario), 30_000, seed=5)
         assert a.p_error == b.p_error
         assert a.decision_confusion == b.decision_confusion
 
-    def test_success_probabilities_enter(self, scenario, law):
+    def test_success_probabilities_enter(self, scenario):
+        # the ledger books each slot's success probability, so halving eta_s
+        # halves the secondary throughput exactly
         cm = CostModel.throughput(eta_s=0.5)
-        met_full = run_monte_carlo(scenario, SequentialDetector(scenario, law), 20_000,
+        met_full = run_monte_carlo(scenario, make_detector("bs", scenario), 20_000,
                                    seed=6, cost_model=CostModel.throughput())
-        met_half = run_monte_carlo(scenario, SequentialDetector(scenario, law), 20_000,
+        met_half = run_monte_carlo(scenario, make_detector("bs", scenario), 20_000,
                                    seed=6, cost_model=cm)
         ratio = met_half.norm_throughput_secondary / met_full.norm_throughput_secondary
-        assert ratio == pytest.approx(0.5, abs=0.05)
+        assert ratio == pytest.approx(0.5, rel=1e-12)
+        assert met_half.decision_confusion == met_full.decision_confusion
 
-    def test_trials_validated(self, scenario, law):
+    def test_ledger_books_expected_success(self):
+        # a declare-free detector with every success probability off its
+        # default: both throughputs are closed forms in the confusion counts
+        cfg = default_scenario(pi0=0.6)
+        cm = CostModel.throughput(eta_s=0.7, delta_s=0.2, eta_p=0.9, delta_p=0.1,
+                                  R_s=1.5, R_p=2.0)
+        met = run_monte_carlo(cfg, make_detector("prior-only", cfg), 30_000, seed=21,
+                              cost_model=cm)
+        (n00, n01), (n10, n11) = met.decision_confusion
+        assert n01 == n11 == 0 and n00 > 0 and n10 > 0
+        q = met.trials
+        time_left = 1.0 - cfg.tau_N / cfg.tau_s
+        assert met.norm_throughput_secondary == pytest.approx(
+            (n00 * cm.eta_s + n10 * cm.delta_s) * cm.R_s * time_left / q, rel=1e-12)
+        assert met.norm_throughput_primary == pytest.approx(
+            n10 * cm.delta_p * cm.R_p / q, rel=1e-12)
+        # the cost model changes the ledger only, never the decisions
+        default = run_monte_carlo(cfg, make_detector("prior-only", cfg), 30_000, seed=21)
+        assert met.p_error == default.p_error
+        assert met.avg_stage == default.avg_stage
+        assert met.stage_histogram == default.stage_histogram
+
+    def test_trials_validated(self, scenario):
         with pytest.raises(ValueError):
-            run_monte_carlo(scenario, SequentialDetector(scenario, law), 0)
+            run_monte_carlo(scenario, make_detector("bs", scenario), 0)
 
 
 class TestCompareWithBlockOracle:
-    def test_all_report_trivial_agreement(self, law):
+    def test_all_report_trivial_agreement(self):
         cfg = default_scenario(M=8, K=8)
         report = compare_with_block_oracle(cfg, 20_000, seed=7)
         assert report.agreement_fraction == 1.0
@@ -216,7 +206,7 @@ class TestMakeDetector:
 
 
 class TestDpVsBsTrend:
-    def test_dp_probes_fewer_sensors(self, scenario, law):
+    def test_dp_probes_fewer_sensors(self, scenario):
         # the solved policy trades a little error for much earlier stopping
         cm = CostModel.error_min()
         for m in (10, 14):

@@ -96,7 +96,7 @@ class TestRankedPdf:
     def test_normalization_non_identical(self, rank):
         rng = np.random.default_rng(rank + 50)
         ens = _random_ensemble(3, rng)
-        lo = min(law.support_low for law in ens.laws)
+        lo = min(law.effective_range()[0] for law in ens.laws)
         hi = max(law.effective_range(1e-13)[1] for law in ens.laws)
         total, _ = quad(lambda y: ranked_pdf(rank, y, H0, ens), lo, hi, limit=400, points=[0.0])
         assert total == pytest.approx(1.0, abs=1e-6)

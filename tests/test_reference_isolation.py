@@ -63,3 +63,53 @@ def test_package_does_not_reexport_reference_names():
     assert reference_names, "reference.py defines nothing"
     leaked = reference_names & _bound_names(_parse(PACKAGE / "__init__.py"))
     assert not leaked, f"ordfuse/__init__.py re-exports {sorted(leaked)}"
+
+
+# Defined in a runtime module, referenced by no runtime module, and kept on
+# purpose; each entry says who uses it.
+UNREFERENCED_ALLOWED = {
+    "concavity_check": "bench/worker.py checks every saved policy with it",
+    "sample_participants": "bench/tracing.py traces it, and a traced function "
+                           "that is missing fails a benchmark run",
+    "participation_pmf": "bench/tracing.py traces it, and a traced function "
+                         "that is missing fails a benchmark run",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of every top-level function and class and of
+    every method other than the dunder methods Python calls implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every bare name and attribute name the module's code reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_runtime_definition_is_referenced():
+    # a re-export in __init__.py is not a use
+    referenced = set().union(*(
+        _referenced_names(_parse(p)) for p in RUNTIME_MODULES if p.name != "__init__.py"
+    ))
+    unreferenced = sorted(
+        qualified
+        for path in RUNTIME_MODULES
+        for qualified, name in _definitions(_parse(path))
+        if name not in referenced and qualified not in UNREFERENCED_ALLOWED
+    )
+    assert not unreferenced, f"nothing in the runtime references {unreferenced}"

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from ordfuse.defaults import default_scenario
-from ordfuse.sensing_model import (
-    Hypothesis,
-    MeasurementModel,
-    draw_slot,
-    draw_slots,
-    llr_from_samples,
-    rank_by_magnitude,
-)
+from ordfuse.reference import llr_from_samples, rank_by_magnitude
+from ordfuse.sensing_model import MeasurementModel, draw_slots
 
 
 class TestScenarioConfig:
@@ -107,12 +101,13 @@ class TestDrawSlot:
         assert truth_busy.all()
 
     def test_single_slot_structure(self, scenario):
-        slot = draw_slot(scenario, np.random.default_rng(3))
-        assert slot.true_hypothesis in (Hypothesis.H0, Hypothesis.H1)
-        assert len(slot.llr) == scenario.M
-        ranked = [abs(v) for _, v in slot.ordered]
-        assert all(a >= b for a, b in zip(ranked, ranked[1:]))
-        assert sorted(i for i, _ in slot.ordered) == list(range(scenario.M))
+        truth, llr, ordered_values, order = draw_slots(scenario, np.random.default_rng(3), 1)
+        assert truth[0] in (0, 1)
+        assert llr.shape == (1, scenario.M)
+        ranked = np.abs(ordered_values[0])
+        assert np.all(ranked[:-1] >= ranked[1:])
+        assert sorted(order[0]) == list(range(scenario.M))
+        assert np.array_equal(ordered_values[0], llr[0, order[0]])
 
     def test_energy_mean_under_h0(self):
         # E[sum |X|^2 | H0] = N sigma^2 = 3; SE over 1e5 slots x 10 sensors ~ 0.0025
@@ -142,3 +137,30 @@ class TestDrawSlot:
             expected = rank_by_magnitude(llr[i])
             assert [v for _, v in expected] == pytest.approx(list(ordered_values[i]))
             assert [s for s, _ in expected] == list(order[i])
+
+    @pytest.mark.parametrize("which", ["energy", "shift"])
+    def test_llr_matches_llr_from_samples(self, which, shift_scenario):
+        # oracle: rebuild every sensor's samples from the same seed in the
+        # same draw order (truth, then the (n, M, N) normals) and recompute
+        # each LLR one sensor at a time
+        if which == "energy":
+            cfg = default_scenario(sigma2_s=tuple(0.5 + 0.4 * i for i in range(10)), pi0=0.4)
+        else:
+            cfg = shift_scenario
+        n = 64
+        truth, llr, _, _ = draw_slots(cfg, np.random.default_rng(71), n)
+        rng = np.random.default_rng(71)
+        busy = rng.random(n) >= cfg.pi0
+        z = rng.standard_normal((n, cfg.M, cfg.N))
+        assert np.array_equal(truth, busy)
+        assert 0 < busy.sum() < n
+        expected = np.empty((n, cfg.M))
+        for s in range(n):
+            for i in range(cfg.M):
+                if cfg.measurement_model is MeasurementModel.ENERGY_CHI_SQUARE:
+                    var = cfg.sigma2 + (cfg.sigma2_s[i] if busy[s] else 0.0)
+                    x = z[s, i] * math.sqrt(var)
+                else:
+                    x = z[s, i] * math.sqrt(cfg.sigma2) + (cfg.mu1[i] if busy[s] else cfg.mu0[i])
+                expected[s, i] = llr_from_samples(x, i, cfg)
+        np.testing.assert_allclose(llr, expected, rtol=0.0, atol=1e-12)
