@@ -149,13 +149,33 @@ def central_mass(b, hyp: Hypothesis, law: LlrLaw):
     return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _half_mass_magnitude(law: LlrLaw, hyp: Hypothesis) -> float:
+    """The float a with central_mass(a) >= 1/2 and central_mass(a^-) < 1/2,
+    a^- the float below a: bisection until the bracket is adjacent floats."""
+    lo_y, hi_y = law.effective_range(1e-12)
+    lo, hi = 0.0, max(abs(lo_y), abs(hi_y))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if central_mass(mid, hyp, law) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _log_central_mass(a, hyp: Hypothesis, law: LlrLaw):
-    mass = np.asarray(central_mass(a, hyp, law), dtype=float)
-    tail = np.asarray(exceed_prob(a, hyp, law), dtype=float)
+    """log Pr(|Y| <= a | hyp) for a >= 0, each point on one branch: the mass
+    itself below the half-mass magnitude, log1p of minus the tail above it,
+    where the mass nears one and the tail keeps the precision."""
+    flat = a.ravel()
+    below = flat < _half_mass_magnitude(law, hyp)
+    out = np.empty_like(flat)
     with np.errstate(divide="ignore"):
-        direct = np.log(np.maximum(mass, _TINY_MASS))
-        via_tail = np.log1p(-np.minimum(tail, 1.0))
-    return np.where(mass < 0.5, direct, via_tail)
+        out[below] = np.log(np.maximum(central_mass(flat[below], hyp, law), _TINY_MASS))
+        out[~below] = np.log1p(-np.minimum(exceed_prob(flat[~below], hyp, law), 1.0))
+    return out.reshape(a.shape)
 
 
 def correction_term(y, law: LlrLaw):

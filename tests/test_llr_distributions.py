@@ -5,14 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 from ordfuse.llr_distributions import (
+    _ZERO_LIMIT,
     LlrLaw,
+    _half_mass_magnitude,
     central_mass,
     correction_term,
     exceed_prob,
     llr_cdf,
     llr_pdf,
 )
-from ordfuse.reference import correction_extrema, envelope_extrema
+from ordfuse.reference import correction_extrema, envelope_extrema, log_central_mass
 from ordfuse.sensing_model import Hypothesis
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -118,6 +120,93 @@ class TestCorrectionTerm:
     def test_shift_in_mean_identically_zero(self, shift_law):
         ys = np.linspace(0.0, 25.0, 300)
         assert np.max(np.abs(correction_term(ys, shift_law))) < 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "N=40, SNR 50: H0's central interval lies in the upper tail of "
+        "chi-square(40), where both the cdf difference and 1 - tail cancel"))
+    def test_quadrature_cross_check_extreme_snr(self):
+        law = LlrLaw.energy(40, 50.0)
+        for y in (0.05, 0.222, 2.1, 6.48):
+            m = [quad(lambda w, h=h: llr_pdf(w, h, law), -y, y, limit=200, epsabs=0.0,
+                      epsrel=1e-12)[0] for h in (H1, H0)]
+            assert correction_term(y, law) == pytest.approx(math.log(m[0] / m[1]), abs=1e-9)
+
+
+class TestCorrectionTermShape:
+    def test_python_scalar_gives_float(self, law):
+        got = correction_term(1.5, law)
+        assert type(got) is float
+        assert got == correction_term(np.array([1.5]), law)[0]
+
+    def test_zero_d_array_gives_float(self, law):
+        got = correction_term(np.array(1.5), law)
+        assert type(got) is float
+        assert got == correction_term(1.5, law)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty(self, law, shape):
+        got = correction_term(np.empty(shape), law)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
+    def test_matrix_equals_flat_evaluation(self, law, rng):
+        # magnitudes on both sides of the half-mass split in one array
+        y = rng.uniform(0.0, 20.0, (250, 8))
+        got = correction_term(y, law)
+        assert got.shape == y.shape
+        assert np.array_equal(got, correction_term(y.ravel(), law).reshape(y.shape))
+
+    def test_negative_gives_value_at_magnitude(self, law, rng):
+        y = rng.uniform(0.0, 20.0, 500)
+        assert np.array_equal(correction_term(-y, law), correction_term(y, law))
+
+    def test_zero_below_limit(self, law):
+        y = np.array([0.0, 1e-12, -5e-9, 0.99 * _ZERO_LIMIT, -0.99 * _ZERO_LIMIT])
+        assert np.array_equal(correction_term(y, law), np.zeros(5))
+
+
+def _two_branch_term(y, law):
+    """The correction term with both branches of the log central mass
+    evaluated at every point and kept by the mass they give."""
+    a = np.abs(np.asarray(y, dtype=float))
+    out = log_central_mass(a, H1, law) - log_central_mass(a, H0, law)
+    return np.where(a < _ZERO_LIMIT, 0.0, out)
+
+
+BRANCH_LAWS = [
+    pytest.param(LlrLaw.energy(dof, snr), id=f"energy-N{dof}-snr{snr:g}")
+    for dof in (1, 2, 3, 8, 40) for snr in (0.05, 2.0, 50.0)
+] + [
+    pytest.param(LlrLaw.shift_in_mean(3, 0.0, mu1, 1.0), id=f"shift-mu1-{mu1:g}")
+    for mu1 in (0.1, 1.0, 3.0)
+]
+
+
+class TestBranchRule:
+    """Deciding the branch by magnitude gives the term that deciding it by
+    the computed mass gives, except where the computed mass is not monotone:
+    within a few ulps of a half-mass magnitude."""
+
+    @pytest.mark.parametrize("law", BRANCH_LAWS)
+    def test_matches_two_branch_oracle(self, law):
+        top = max(abs(v) for v in law.effective_range(1e-14))
+        halves = np.array([_half_mass_magnitude(law, hyp) for hyp in (H0, H1)])
+        ulps = np.arange(-200, 201)
+        ys = np.concatenate([
+            np.logspace(-8.0, math.log10(top), 2000),
+            np.random.default_rng(8).uniform(0.0, top, 20_000),
+            *(a + ulps * np.spacing(a) for a in halves),
+        ])
+        got = correction_term(ys, law)
+        want = _two_branch_term(ys, law)
+        near = np.any(np.abs(ys[:, None] - halves) <= 1e-12 * halves, axis=1)
+        assert np.array_equal(got[~near], want[~near])
+        assert np.max(np.abs(got[near] - want[near])) <= 4.5e-16
+
+    @pytest.mark.parametrize("law", BRANCH_LAWS)
+    @pytest.mark.parametrize("hyp", [H0, H1])
+    def test_half_mass_magnitude_brackets_one_half(self, law, hyp):
+        a_half = _half_mass_magnitude(law, hyp)
+        assert central_mass(np.nextafter(a_half, 0.0), hyp, law) < 0.5 <= central_mass(a_half, hyp, law)
 
 
 class TestCorrectionExtrema:
