@@ -63,8 +63,24 @@ def _parse_int(raw: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got '{raw}'") from exc
 
 
+def _parse_dir(raw: str, where: str) -> Path:
+    if not raw:
+        raise ConfigError(f"{where}: expected a directory, got ''")
+    return Path(raw)
+
+
 def _parse_list(raw: str, where: str, parse) -> tuple:
     return tuple(parse(part.strip(), where) for part in raw.split(",") if part.strip())
+
+
+def _list_of(parse, accepts, rule: str):
+    """Parser for a non-empty comma-separated list whose every value `accepts`."""
+    def parse_list(raw: str, where: str) -> tuple:
+        values = _parse_list(raw, where, parse)
+        if not values or not all(accepts(v) for v in values):
+            raise ConfigError(f"{where}: expected a list of {rule}, got '{raw}'")
+        return values
+    return parse_list
 
 
 def _per_sensor(m: int):
@@ -90,24 +106,16 @@ def _parse_enum(enum_cls):
 
 _PROBED_VS_K_M = 100  # sensors in every scenario of fig-probed-vs-K
 
-# sweep list key -> (parser, accepted value, what every value must be)
-_SWEEP_LISTS = {
-    "m_values": (_parse_int, lambda v: v >= 1, "integers >= 1"),
-    "k_values": (_parse_int, lambda v: 1 <= v <= _PROBED_VS_K_M, f"integers in 1..{_PROBED_VS_K_M}"),
-    "c_values": (_parse_float, lambda v: 0.0 <= v < math.inf, "finite numbers >= 0"),
-    "omega_values": (_parse_float, lambda v: 0.0 <= v <= 1.0, "numbers in [0, 1]"),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One preset run; a sweep list left as None takes the preset's default."""
 
-    preset: str
-    overrides: dict
-    trials: int
-    seed: int
-    output_path: Path
+    preset: str = "custom"
+    detector: str = "bs"  # what the custom preset runs
+    trials: int = DEFAULT_TRIALS
+    seed: int = DEFAULT_SEED
+    output: Path = Path("out")  # directory of the CSV and its sidecar
     m_values: tuple[int, ...] | None = None
     k_values: tuple[int, ...] | None = None
     c_values: tuple[float, ...] | None = None
@@ -116,6 +124,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset '{self.preset}' (expected one of {PRESET_NAMES})")
+        if self.detector not in DETECTOR_KINDS:
+            raise ConfigError(f"detector must be one of {DETECTOR_KINDS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
@@ -133,7 +143,7 @@ _SECTIONS = {
     "scenario": {f.name for f in fields(ScenarioConfig)},
     "cost": {f.name for f in fields(CostModel)},
     "fading": {f.name for f in fields(FadingConfig)},
-    "experiment": {"preset", "trials", "seed", "output", "detector", *_SWEEP_LISTS},
+    "experiment": {f.name for f in fields(ExperimentSpec)},
 }
 
 
@@ -164,14 +174,9 @@ def load_config(path) -> ConfigBundle:
 
     scenario = _load_scenario(raw)
     cost = _load_cost(raw)
-    fading = _load_fading(raw, parser.has_section("fading"), scenario.M)
-    experiment = _load_experiment(raw, parser)
+    fading = _load_fading(raw, parser.has_section("fading"))
+    experiment = _load_experiment(raw)
     return ConfigBundle(scenario, cost, fading, experiment)
-
-
-def _custom_detector_kind(spec: ExperimentSpec) -> str:
-    """Detector the custom preset runs: the `detector` key, else bs."""
-    return spec.overrides.get("detector", "bs")
 
 
 def _check_runnable(bundle: ConfigBundle) -> None:
@@ -183,7 +188,7 @@ def _check_runnable(bundle: ConfigBundle) -> None:
     """
     if bundle.experiment.preset != "custom":
         return
-    kind = _custom_detector_kind(bundle.experiment)
+    kind = bundle.experiment.detector
     if kind in IDENTICAL_ONLY_KINDS and not SensorEnsemble.from_config(bundle.scenario).is_identical:
         raise ConfigError(f"[experiment] detector '{kind}' requires identical sensors")
     if kind == "one-threshold":
@@ -212,7 +217,7 @@ def _load_scenario(raw) -> ScenarioConfig:
     kwargs = _parse_keys(raw, "scenario", {
         "M": _parse_int, "N": _parse_int, "K": _parse_int,
         "tau_s": _parse_float, "tau_N": _parse_float, "tau": _parse_float,
-        "pi0": _parse_float, "sigma2": _parse_float, "rng_seed": _parse_int,
+        "pi0": _parse_float, "sigma2": _parse_float,
         "measurement_model": _parse_enum(MeasurementModel),
     })
     m = kwargs.get("M", default_scenario().M)
@@ -239,47 +244,32 @@ def _load_cost(raw) -> CostModel:
         raise ConfigError(f"[cost] {exc}") from exc
 
 
-def _load_fading(raw, present: bool, m: int) -> FadingConfig | None:
+def _load_fading(raw, present: bool) -> FadingConfig | None:
     if not present:
         return None
-    per_sensor = _per_sensor(m)
-    parsed = _parse_keys(raw, "fading", {
-        "W": _parse_float, "bits": _parse_int, "tau_b": _parse_float, "T_c": _parse_int,
-        "P_over_sigma": per_sensor, "Gamma": per_sensor, "gain_mean": per_sensor,
-    })
+    # every link field but the payload and the coherence period is a number
+    table = {f.name: _parse_float for f in fields(FadingConfig)} | {"bits": _parse_int, "T_c": _parse_int}
+    parsed = _parse_keys(raw, "fading", table)
     try:
-        return replace(default_fading(m), **parsed)
+        return replace(default_fading(), **parsed)
     except ValueError as exc:
         raise ConfigError(f"[fading] {exc}") from exc
 
 
-def _parse_sweep(raw, key: str) -> tuple | None:
-    text = raw("experiment", key)
-    if text is None:
-        return None
-    parse, accepts, rule = _SWEEP_LISTS[key]
-    where = f"[experiment] {key}"
-    values = _parse_list(text, where, parse)
-    if not values or not all(accepts(v) for v in values):
-        raise ConfigError(f"{where}: expected a list of {rule}, got '{text}'")
-    return values
-
-
-def _load_experiment(raw, parser) -> ExperimentSpec:
-    overrides = dict(parser["experiment"]) if parser.has_section("experiment") else {}
-    trials_raw = raw("experiment", "trials")
-    seed_raw = raw("experiment", "seed")
-    detector = raw("experiment", "detector")
-    if detector is not None and detector not in DETECTOR_KINDS:
-        raise ConfigError(f"[experiment] detector must be one of {DETECTOR_KINDS}")
-    return ExperimentSpec(
-        preset=raw("experiment", "preset") or "custom",
-        overrides=overrides,
-        trials=_parse_int(trials_raw, "[experiment] trials") if trials_raw else DEFAULT_TRIALS,
-        seed=_parse_int(seed_raw, "[experiment] seed") if seed_raw else DEFAULT_SEED,
-        output_path=Path(raw("experiment", "output") or "out"),
-        **{key: _parse_sweep(raw, key) for key in _SWEEP_LISTS},
-    )
+def _load_experiment(raw) -> ExperimentSpec:
+    parsed = _parse_keys(raw, "experiment", {
+        "preset": lambda text, where: text,
+        "detector": lambda text, where: text,
+        "trials": _parse_int,
+        "seed": _parse_int,
+        "output": _parse_dir,
+        "m_values": _list_of(_parse_int, lambda v: v >= 1, "integers >= 1"),
+        "k_values": _list_of(_parse_int, lambda v: 1 <= v <= _PROBED_VS_K_M,
+                             f"integers in 1..{_PROBED_VS_K_M}"),
+        "c_values": _list_of(_parse_float, lambda v: 0.0 <= v < math.inf, "finite numbers >= 0"),
+        "omega_values": _list_of(_parse_float, lambda v: 0.0 <= v <= 1.0, "numbers in [0, 1]"),
+    })
+    return ExperimentSpec(**parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +292,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _record(config) -> dict | None:
-    """A config dataclass as JSON-ready fields, enum members as their values."""
+    """A config dataclass as JSON-ready fields: enum members as their values,
+    paths as text."""
     if config is None:
         return None
-    return {k: v.value if isinstance(v, enum.Enum) else v for k, v in asdict(config).items()}
+    return {
+        k: v.value if isinstance(v, enum.Enum) else str(v) if isinstance(v, Path) else v
+        for k, v in asdict(config).items()
+    }
 
 
 def _write_meta(path: Path, bundle: ConfigBundle, csv_path: Path) -> None:
-    spec = bundle.experiment
     payload = {
         "ordfuse_version": __version__,
-        "preset": spec.preset,
-        "trials": spec.trials,
-        "seed": spec.seed,
+        "experiment": _record(bundle.experiment),
         "scenario": _record(bundle.scenario),
         "cost": _record(bundle.cost),
         "fading": _record(bundle.fading),
-        "overrides": dict(spec.overrides),
         "csv_files": [csv_path.name],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -400,7 +390,7 @@ def _preset_probed_vs_k(bundle: ConfigBundle):
     spec = bundle.experiment
     k_values = spec.k_values or (2, 4, 6, 8, 10, 12)
     m = _PROBED_VS_K_M
-    base = default_scenario(M=m, K=bundle.scenario.K, rng_seed=bundle.scenario.rng_seed)
+    base = default_scenario(M=m, K=bundle.scenario.K)
     low = replace(base, sigma2_s=(2.0,) * m)
     high = replace(base, sigma2_s=(50.0,) * m)
     shift = replace(
@@ -422,12 +412,10 @@ def _preset_probed_vs_k(bundle: ConfigBundle):
 def _preset_fading_probed(bundle: ConfigBundle):
     spec = bundle.experiment
     cm = CostModel.error_min(c=bundle.cost.c)
+    fading = bundle.fading or default_fading()
     rows = []
     for m in spec.m_values or (8, 10, 12, 16, 20):
-        cfg = default_scenario(M=m, rng_seed=bundle.scenario.rng_seed)
-        fading = bundle.fading
-        if fading is None or fading.m != m:
-            fading = default_fading(m)
+        cfg = default_scenario(M=m)
         met_fade = run_monte_carlo_fading(cfg, fading, "dp", spec.trials, spec.seed, cost_model=cm)
         det = make_detector("dp", cfg, cm)
         met_perfect = run_monte_carlo(cfg, det, spec.trials, spec.seed, cost_model=cm)
@@ -464,7 +452,7 @@ def _preset_thresholds_vs_stage(bundle: ConfigBundle):
 def _preset_sensing_vs_c(bundle: ConfigBundle):
     spec = bundle.experiment
     c_values = spec.c_values or (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
-    config = default_scenario(M=8, K=8, rng_seed=bundle.scenario.rng_seed)
+    config = default_scenario(M=8, K=8)
     rows = [
         [c, config.sensing_time(met.avg_stage), met.p_error, spec.trials, spec.seed]
         for c, met in sweep("c", c_values, config, "dp", spec.trials, spec.seed,
@@ -476,7 +464,7 @@ def _preset_sensing_vs_c(bundle: ConfigBundle):
 def _preset_custom(bundle: ConfigBundle):
     spec = bundle.experiment
     config = bundle.scenario
-    kind = _custom_detector_kind(spec)
+    kind = spec.detector
     detector = make_detector(kind, config, bundle.cost)
     met = run_monte_carlo(config, detector, spec.trials, spec.seed, cost_model=bundle.cost)
     rows = [[
@@ -507,9 +495,9 @@ def run_experiment(bundle: ConfigBundle) -> list[Path]:
     """Run the bundle's preset and write `<preset>.csv` plus a metadata sidecar."""
     spec = bundle.experiment
     header, rows = _PRESET_RUNNERS[spec.preset](bundle)
-    csv_path = spec.output_path / f"{spec.preset}.csv"
+    csv_path = spec.output / f"{spec.preset}.csv"
     _write_csv(csv_path, header, rows)
-    meta_path = spec.output_path / f"{spec.preset}.meta.json"
+    meta_path = spec.output / f"{spec.preset}.meta.json"
     _write_meta(meta_path, bundle, csv_path)
     return [csv_path, meta_path]
 
@@ -575,7 +563,7 @@ def main(argv=None) -> int:
         if args.trials is not None:
             updates["trials"] = args.trials
         if args.out:
-            updates["output_path"] = Path(args.out)
+            updates["output"] = Path(args.out)
         bundle = bundle._replace(experiment=replace(bundle.experiment, **updates))
         _check_runnable(bundle)
         written = run_experiment(bundle)

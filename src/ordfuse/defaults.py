@@ -24,7 +24,6 @@ def default_scenario(**overrides) -> ScenarioConfig:
         sigma2=1.0,
         sigma2_s=(2.0,) * 10,
         measurement_model=MeasurementModel.ENERGY_CHI_SQUARE,
-        rng_seed=DEFAULT_SEED,
     )
     if not overrides:
         return base
@@ -35,15 +34,12 @@ def default_scenario(**overrides) -> ScenarioConfig:
     return replace(base, **overrides)
 
 
-def default_fading(m: int) -> FadingConfig:
+def default_fading() -> FadingConfig:
     """Unit-mean exponential link gains with a 20-bit report over 50 kHz."""
-    return FadingConfig.symmetric(
-        m=m,
+    return FadingConfig(
         W=50_000.0,
         bits=20,
         tau_b=0.0005,
         P_over_sigma=5.0,
         Gamma=2.0,
-        gain_mean=1.0,
-        T_c=1,
     )

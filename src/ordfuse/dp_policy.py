@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -348,7 +348,6 @@ def _solve(
     cost_model: CostModel,
     ensemble: SensorEnsemble,
     grid_size: int,
-    one_threshold: bool,
 ) -> PolicyTable:
     if grid_size < 101:
         raise ValueError("grid_size must be >= 101")
@@ -371,12 +370,8 @@ def _solve(
     for k in range(k_max - 1, 0, -1):
         stop0, stop1 = _stage_stop_costs(k, grid, cost_model, config)
         cont = cost_model.c + _continuation(grid, values[k], f0[k], f1[k], weights)
-        if one_threshold:
-            stop_best = stop0
-            act_stop = np.full(grid_size, Action.DECLARE_H0, dtype=np.int8)
-        else:
-            stop_best = np.minimum(stop0, stop1)
-            act_stop = np.where(stop0 <= stop1, Action.DECLARE_H0, Action.DECLARE_H1)
+        stop_best = np.minimum(stop0, stop1)
+        act_stop = np.where(stop0 <= stop1, Action.DECLARE_H0, Action.DECLARE_H1)
         values[k - 1] = np.minimum(stop_best, cont)
         # stopping must win strictly: where continuing merely ties (the
         # zero-cost regimes), one more report is never worse than stopping
@@ -394,7 +389,6 @@ def _solve(
         tau_s=config.tau_s,
         tau_N=config.tau_N,
         tau=config.tau,
-        kind="one-threshold" if one_threshold else "two-threshold",
         diagnostics={
             "quadrature_mass_error": float(quad_err),
             "nodes": len(nodes),
@@ -410,7 +404,7 @@ def solve_backward(
     grid_size: int = 1001,
 ) -> PolicyTable:
     """Two-threshold backward induction over the belief grid."""
-    return _solve(config, cost_model, ensemble, grid_size, one_threshold=False)
+    return _solve(config, cost_model, ensemble, grid_size)
 
 
 def solve_one_threshold(
@@ -422,11 +416,15 @@ def solve_one_threshold(
     """Throughput special case: before the last stage the only stop is declare-free.
 
     Requires `cost_model.is_pure_throughput` (c = 0 and every auxiliary cost
-    zero); anything else is a contract violation.
+    zero); anything else is a contract violation. Under such a cost the
+    two-threshold solve already never declares busy before stage K: the
+    continuation is never worse than a declare-busy cost that does not
+    depend on the stage, and ties resolve to continuing. So the solve is the
+    same backward induction, labelled one-threshold.
     """
     if not cost_model.is_pure_throughput:
         raise ValueError("one-threshold solve requires c = 0 and zero auxiliary costs")
-    return _solve(config, cost_model, ensemble, grid_size, one_threshold=True)
+    return replace(_solve(config, cost_model, ensemble, grid_size), kind="one-threshold")
 
 
 def run_policy_batch(

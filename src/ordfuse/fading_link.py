@@ -12,83 +12,60 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .order_stats import weighted_subset_coeffs
 from .sensing_model import ScenarioConfig
 
 
 @dataclass(frozen=True)
 class FadingConfig:
     """Reporting-link budget: bandwidth, payload, per-report transmit window,
-    per-sensor power-to-noise ratios, SNR gap, exponential gain means and
-    coherence period."""
+    power-to-noise ratio, SNR gap, exponential gain mean and coherence
+    period. Every sensor has the same link."""
 
     W: float  # reporting bandwidth, Hz
     bits: int  # payload per report
     tau_b: float  # transmit window per report, seconds; must be < tau
-    P_over_sigma: tuple[float, ...]  # P_i / sigma_f^2, linear
-    Gamma: tuple[float, ...]  # SNR gap to capacity, > 1
-    gain_mean: tuple[float, ...]  # exponential gain means
-    T_c: int  # coherence period, in slots
+    P_over_sigma: float  # P / sigma_f^2, linear
+    Gamma: float  # SNR gap to capacity, > 1
+    gain_mean: float = 1.0  # exponential gain mean
+    T_c: int = 1  # coherence period, in slots
 
     def __post_init__(self):
-        for name in ("P_over_sigma", "Gamma", "gain_mean"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        if len(self.Gamma) != self.m or len(self.gain_mean) != self.m:
-            raise ValueError("per-sensor fields must all have the same length")
         if self.W <= 0 or self.bits < 0 or self.tau_b <= 0:
             raise ValueError("W and tau_b must be > 0 and bits >= 0")
-        if any(g <= 1.0 for g in self.Gamma):
+        if self.Gamma <= 1.0:
             raise ValueError("SNR gap Gamma must exceed 1")
-        if any(p <= 0 for p in self.P_over_sigma) or any(m <= 0 for m in self.gain_mean):
-            raise ValueError("powers and gain means must be > 0")
+        if self.P_over_sigma <= 0 or self.gain_mean <= 0:
+            raise ValueError("power and gain mean must be > 0")
         if self.T_c < 1:
             raise ValueError("coherence period must cover at least one slot")
 
-    @classmethod
-    def symmetric(
-        cls, m: int, W: float, bits: int, tau_b: float,
-        P_over_sigma: float, Gamma: float, gain_mean: float = 1.0, T_c: int = 1,
-    ) -> "FadingConfig":
-        return cls(
-            W=W, bits=bits, tau_b=tau_b,
-            P_over_sigma=(P_over_sigma,) * m,
-            Gamma=(Gamma,) * m,
-            gain_mean=(gain_mean,) * m,
-            T_c=T_c,
-        )
 
-    @property
-    def m(self) -> int:
-        return len(self.P_over_sigma)
-
-
-def gain_threshold(sensor: int, fading: FadingConfig) -> float:
-    """Smallest link gain that still lets the sensor deliver its report in time."""
+def gain_threshold(fading: FadingConfig) -> float:
+    """Smallest link gain that still lets a sensor deliver its report in time."""
     rate_exp = fading.bits / (fading.W * fading.tau_b)
     try:
         growth = 2.0 ** rate_exp - 1.0
     except OverflowError:
         return math.inf
-    return (fading.Gamma[sensor] / fading.P_over_sigma[sensor]) * growth
+    return (fading.Gamma / fading.P_over_sigma) * growth
 
 
-def participation_prob(sensor: int, fading: FadingConfig) -> float:
-    """Probability the sensor's gain clears its decodability threshold."""
-    return math.exp(-gain_threshold(sensor, fading) / fading.gain_mean[sensor])
+def participation_prob(fading: FadingConfig) -> float:
+    """Probability a sensor's gain clears its decodability threshold."""
+    return math.exp(-gain_threshold(fading) / fading.gain_mean)
 
 
-def participation_pmf(m_bar: int, fading: FadingConfig) -> float:
-    """Probability that exactly m_bar of the sensors participate."""
-    if not 0 <= m_bar <= fading.m:
-        raise ValueError("m_bar must lie in 0..M")
-    delta = np.array([participation_prob(i, fading) for i in range(fading.m)])
-    return float(weighted_subset_coeffs(delta, 1.0 - delta, m_bar)[m_bar])
+def participation_pmf(m_bar: int, m: int, fading: FadingConfig) -> float:
+    """Probability that exactly m_bar of m sensors participate."""
+    if not 0 <= m_bar <= m:
+        raise ValueError("m_bar must lie in 0..m")
+    delta = participation_prob(fading)
+    return math.comb(m, m_bar) * delta ** m_bar * (1.0 - delta) ** (m - m_bar)
 
 
 def sample_participants(fading: FadingConfig, m: int, rng: np.random.Generator) -> frozenset[int]:
     """Independent per-sensor inclusion draw, held fixed for one coherence period."""
-    delta = np.array([participation_prob(i, fading) for i in range(m)])
-    mask = rng.random(m) < delta
+    mask = rng.random(m) < participation_prob(fading)
     return frozenset(int(i) for i in np.flatnonzero(mask))
 
 

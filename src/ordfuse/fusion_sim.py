@@ -143,7 +143,7 @@ def run_monte_carlo(
     config: ScenarioConfig,
     detector,
     trials: int,
-    seed: int | None = None,
+    seed: int,
     cost_model: CostModel | None = None,
 ) -> SimMetrics:
     """Simulate `trials` slots through `detector` and aggregate the metrics.
@@ -155,7 +155,6 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    seed = config.rng_seed if seed is None else seed
     acc = _Accumulator(config.K)
     for truth, ordered_values in _chunks(config, seed, trials):
         declared, stage = detector(ordered_values)
@@ -163,7 +162,7 @@ def run_monte_carlo(
     return acc.metrics()
 
 
-SWEEP_AXES = ("M", "K", "c", "sigma2_s", "omega")
+SWEEP_AXES = ("M", "K", "c")
 
 
 def _apply_axis(
@@ -184,16 +183,10 @@ def _apply_axis(
             tau = config.tau_s / (k + 2)
             tau_n = 2.0 * tau
         return replace(config, K=k, tau=tau, tau_N=tau_n), cost_model
-    if axis == "sigma2_s":
-        return replace(config, sigma2_s=(float(value),) * config.M), cost_model
     if axis == "c":
         if cost_model is None:
             raise ValueError("sweep over c needs a cost model")
         return config, replace(cost_model, c=float(value))
-    if axis == "omega":
-        if cost_model is None:
-            raise ValueError("sweep over omega needs a cost model")
-        return config, replace(cost_model, omega=float(value))
     raise ValueError(f"unknown sweep axis: {axis} (expected one of {SWEEP_AXES})")
 
 
@@ -203,7 +196,7 @@ def sweep(
     config: ScenarioConfig,
     detector_kind: str,
     trials: int,
-    seed: int | None = None,
+    seed: int,
     cost_model: CostModel | None = None,
 ) -> list[tuple[float, SimMetrics]]:
     """One Monte Carlo run per axis value, all sharing the same seed so the
@@ -211,7 +204,6 @@ def sweep(
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    seed = config.rng_seed if seed is None else seed
     out = []
     for value in values:
         cfg, cm = _apply_axis(axis, value, config, cost_model)
@@ -225,23 +217,20 @@ def run_monte_carlo_fading(
     fading: FadingConfig,
     detector_kind: str,
     trials: int,
-    seed: int | None = None,
+    seed: int,
     cost_model: CostModel | None = None,
 ) -> SimMetrics:
     """Monte Carlo with the participant set redrawn every coherence period.
 
-    Implemented for identical sensors with symmetric reporting links, where
+    Implemented for identical sensors. Every sensor has the same link, so
     the reduced scenario depends only on the participant count; periods are
     grouped by that count and each group runs vectorized.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ensemble = SensorEnsemble.from_config(config)
-    deltas = {participation_prob(i, fading) for i in range(config.M)}
-    if not ensemble.is_identical or len(deltas) != 1:
-        raise NotImplementedError("fading runs support identical sensors and symmetric links")
-    delta = deltas.pop()
-    seed = config.rng_seed if seed is None else seed
+    if not SensorEnsemble.from_config(config).is_identical:
+        raise NotImplementedError("fading runs support identical sensors")
+    delta = participation_prob(fading)
 
     n_periods = -(-trials // fading.T_c)
     rng_counts = _chunk_rng(seed, 0)

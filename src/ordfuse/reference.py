@@ -108,12 +108,11 @@ class AgreementReport:
 
 
 def compare_with_block_oracle(
-    config: ScenarioConfig, trials: int, seed: int | None = None
+    config: ScenarioConfig, trials: int, seed: int
 ) -> AgreementReport:
     """Per-realization agreement of the sequential detector with the block MAP
     rule on the slots `run_monte_carlo` draws for this seed; reports the
     first disagreement if any."""
-    seed = config.rng_seed if seed is None else seed
     law = law_for_sensor(config, 0)
     n_disagree = 0
     first = None

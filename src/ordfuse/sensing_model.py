@@ -49,7 +49,6 @@ class ScenarioConfig:
     measurement_model: MeasurementModel = MeasurementModel.ENERGY_CHI_SQUARE
     mu0: tuple[float, ...] | None = None  # shift-in-mean only
     mu1: tuple[float, ...] | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "sigma2_s", _as_sensor_list(self.sigma2_s, self.M, "sigma2_s"))

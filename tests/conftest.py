@@ -68,8 +68,8 @@ def policy_throughput_default(scenario, ensemble):
 
 
 @pytest.fixture(scope="session")
-def fading10():
-    return default_fading(10)
+def fading():
+    return default_fading()
 
 
 @pytest.fixture()

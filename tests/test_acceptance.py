@@ -64,7 +64,7 @@ def policy_m60():
 
 def test_criterion_1_fading_participation_constant():
     started = time.time()
-    delta = participation_prob(0, default_fading(10))
+    delta = participation_prob(default_fading())
     ok = abs(delta - 0.743) <= 0.001
     _report(
         "criterion 1 (participation constant)", ok,
@@ -269,7 +269,7 @@ def test_criterion_8_figure_trends():
     trend_fading = True
     for m in (10, 16):
         cfg = default_scenario(M=m)
-        met_fade = run_monte_carlo_fading(cfg, default_fading(m), "dp", 30_000,
+        met_fade = run_monte_carlo_fading(cfg, default_fading(), "dp", 30_000,
                                           seed=810, cost_model=cm)
         met_perf = run_monte_carlo(cfg, make_detector("dp", cfg, cm), 30_000,
                                    seed=810, cost_model=cm)

@@ -1,9 +1,11 @@
+import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from ordfuse.cli import ConfigError, load_config, main, run_experiment
+from ordfuse.cli import ConfigError, ExperimentSpec, load_config, main, run_experiment
+from ordfuse.defaults import default_fading
 from ordfuse.dp_policy import CostMode, CostModel, PolicyTable
 from ordfuse.fading_link import FadingConfig
 from ordfuse.sensing_model import MeasurementModel, ScenarioConfig
@@ -78,10 +80,29 @@ class TestLoadConfig:
         assert bundle.scenario.mu1 == (1.0,) * 10
 
     def test_fading_section_parsed(self, tmp_path):
-        bundle = load_config(_write(tmp_path, "[fading]\nW = 50000\nbits = 20\n"))
-        assert bundle.fading is not None
-        assert bundle.fading.W == 50000.0
-        assert bundle.fading.m == 10
+        bundle = load_config(_write(tmp_path, "[fading]\nW = 40000\nbits = 20\n"))
+        assert bundle.fading == replace(default_fading(), W=40000.0)
+
+    @pytest.mark.parametrize("section,cls", [
+        ("scenario", ScenarioConfig), ("cost", CostModel),
+        ("fading", FadingConfig), ("experiment", ExperimentSpec),
+    ])
+    def test_section_keys_are_dataclass_fields(self, tmp_path, section, cls):
+        # every field is a key the loader accepts; every other key it rejects,
+        # among them the other sections' fields and the keys that were removed.
+        # Keys are case-insensitive.
+        names = {f.name.lower() for f in fields(cls)}
+        others = {f.name.lower() for c in (ScenarioConfig, CostModel, FadingConfig, ExperimentSpec)
+                  for f in fields(c)}
+        others |= {"rng_seed", "overrides", "output_path", "symmetric", "m"}
+        for key in sorted(names):
+            try:
+                load_config(_write(tmp_path, f"[{section}]\n{key} = x\n"))
+            except ConfigError as exc:  # a bad value, never an unknown key
+                assert "unknown key" not in str(exc), key
+        for key in sorted(others - names):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(_write(tmp_path, f"[{section}]\n{key} = 1\n"))
 
     def test_cost_section(self, tmp_path):
         text = "[cost]\nmode = weighted-throughput\nomega = 0.9\nc = 0.001\n"
@@ -116,7 +137,7 @@ class TestRunExperiment:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("detector,trials,seed,p_error")
         meta = json.loads(meta_path.read_text())
-        assert meta["trials"] == 500
+        assert meta["experiment"]["trials"] == 500
         assert meta["scenario"]["M"] == 10
         assert meta["cost"]["mode"] == "error-min"
 
@@ -169,7 +190,7 @@ class TestRunExperiment:
         scenario = {
             "M": 4, "N": 2, "K": 3, "tau_s": 2.0, "tau_N": 0.3, "tau": 0.2, "pi0": 0.4,
             "sigma2": 1.5, "sigma2_s": [3.0] * 4, "measurement_model": "shift-in-mean",
-            "mu0": [-0.5] * 4, "mu1": [0.75] * 4, "rng_seed": 7,
+            "mu0": [-0.5] * 4, "mu1": [0.75] * 4,
         }
         cost = {
             "mode": "weighted-throughput", "omega": 0.3, "R_p": 2.0, "R_s": 1.5,
@@ -177,8 +198,13 @@ class TestRunExperiment:
             "e_st": 0.02, "P_col": 0.3, "L_f": 0.2, "L_b": 0.1, "c": 0.001,
         }
         fading = {
-            "W": 40000.0, "bits": 16, "tau_b": 0.0004, "P_over_sigma": [4.0, 5.0, 6.0, 7.0],
-            "Gamma": [2.5] * 4, "gain_mean": [1.2] * 4, "T_c": 2,
+            "W": 40000.0, "bits": 16, "tau_b": 0.0004, "P_over_sigma": 4.0,
+            "Gamma": 2.5, "gain_mean": 1.2, "T_c": 2,
+        }
+        experiment = {
+            "preset": "fig-thresholds-vs-stage", "detector": "dp", "trials": 200, "seed": 3,
+            "output": str(tmp_path / "out"), "m_values": [4, 6], "k_values": [2, 3],
+            "c_values": [0.0], "omega_values": [0.25],
         }
 
         def section(name, values):
@@ -188,15 +214,18 @@ class TestRunExperiment:
                 lines.append(f"{key} = {text}")
             return "\n".join(lines) + "\n"
 
-        text = section("scenario", scenario) + section("cost", cost) + section("fading", fading)
-        cfg = _write(tmp_path, text + "[experiment]\ntrials = 200\nseed = 3\n")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        meta = json.loads((out / "custom.meta.json").read_text())
+        cfg = _write(tmp_path, "".join(section(name, values) for name, values in (
+            ("scenario", scenario), ("cost", cost), ("fading", fading), ("experiment", experiment),
+        )))
+        assert main(["run", "--config", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "fig-thresholds-vs-stage.meta.json").read_text())
+        assert set(meta) == {"ordfuse_version", "experiment", "scenario", "cost", "fading",
+                             "csv_files"}
         for name, cls, expected in (
             ("scenario", ScenarioConfig, scenario),
             ("cost", CostModel, cost),
             ("fading", FadingConfig, fading),
+            ("experiment", ExperimentSpec, experiment),
         ):
             assert set(meta[name]) == {f.name for f in fields(cls)}
             assert meta[name] == expected
@@ -288,7 +317,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "entry",
-        ["c_values = 0.0, -1", "m_values = 4, 0", "seed = -3", "c_values = abc"],
+        ["c_values = 0.0, -1", "m_values = 4, 0", "seed = -3", "c_values = abc", "output ="],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_experiment_value_exit_2(self, tmp_path, capsys, command, entry):
@@ -387,5 +416,59 @@ class TestMain:
         assert code == 0
         assert (out_dir / "custom.csv").exists()
         meta = json.loads((out_dir / "custom.meta.json").read_text())
-        assert meta["trials"] == 300
-        assert meta["seed"] == 9
+        assert meta["experiment"]["trials"] == 300
+        assert meta["experiment"]["seed"] == 9
+
+    def test_sidecar_records_flags_over_config(self, tmp_path):
+        cfg = _write(tmp_path, "[experiment]\nseed = 7\ntrials = 2000\n")
+        out_dir = tmp_path / "results"
+        argv = ["run", "--config", str(cfg), "--seed", "9", "--trials", "300", "--out", str(out_dir)]
+        assert main(argv) == 0
+        meta = json.loads((out_dir / "custom.meta.json").read_text())
+        assert meta["experiment"]["seed"] == 9
+        assert meta["experiment"]["trials"] == 300
+        assert meta["experiment"]["output"] == str(out_dir)
+
+        def leaves(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    yield from leaves(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from leaves(value)
+            else:
+                yield node
+
+        # the config's seed and trial count were overridden, so neither is recorded
+        assert not {7, 2000, "7", "2000"} & set(leaves(meta))
+
+    def test_fading_section_applies_at_every_m(self, tmp_path):
+        # a 100 kbit report never fits the transmit window: no sensor ever
+        # reports, whatever the sensor count
+        cfg = _write(
+            tmp_path,
+            "[fading]\nbits = 100000\n[experiment]\npreset = fig-fading-probed\n"
+            "trials = 200\nseed = 1\nm_values = 8, 10, 12\n",
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        with open(out_dir / "fig-fading-probed.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["M"] for row in rows] == ["8", "10", "12"]
+        assert all(float(row["probed_fading"]) == 0.0 for row in rows)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[scenario]\nrng_seed = 42\n", "[fading]\nP_over_sigma = " + ", ".join(["5.0"] * 10) + "\n"],
+        ids=["rng_seed", "per-sensor-link"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_removed_knob_exit_2(self, tmp_path, capsys, command, text):
+        cfg = _write(tmp_path, text + "[experiment]\ntrials = 10\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()

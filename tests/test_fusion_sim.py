@@ -103,7 +103,7 @@ class TestRunMonteCarlo:
 
     def test_trials_validated(self, scenario):
         with pytest.raises(ValueError):
-            run_monte_carlo(scenario, make_detector("bs", scenario), 0)
+            run_monte_carlo(scenario, make_detector("bs", scenario), 0, seed=1)
 
 
 class TestCompareWithBlockOracle:
@@ -153,19 +153,6 @@ class TestSweep:
     def test_m_axis_extends_sigma(self, scenario):
         results = sweep("M", [15], scenario, "bs", 500, seed=14)
         assert results[0][1].trials == 500
-
-    def test_sigma_axis(self, scenario):
-        low = sweep("sigma2_s", [0.5], scenario, "bs", 20_000, seed=15)[0][1]
-        high = sweep("sigma2_s", [50.0], scenario, "bs", 20_000, seed=15)[0][1]
-        assert high.p_error < low.p_error
-
-    def test_omega_axis_shifts_throughput_balance(self, scenario):
-        cm = CostModel.throughput()
-        res = sweep("omega", [0.5, 0.999], scenario, "dp", 20_000, seed=16, cost_model=cm)
-        thr_p = [met.norm_throughput_primary for _, met in res]
-        thr_s = [met.norm_throughput_secondary for _, met in res]
-        assert thr_p[1] >= thr_p[0] - 0.01
-        assert thr_s[1] <= thr_s[0] + 0.01
 
     def test_unknown_axis_rejected(self, scenario):
         with pytest.raises(ValueError, match="axis"):
