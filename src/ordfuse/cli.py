@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import enum
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,7 +41,7 @@ from .fusion_sim import (
     sweep,
 )
 from .order_stats import SensorEnsemble
-from .sensing_model import MeasurementModel, ScenarioConfig
+from .sensing_model import MeasurementModel, ScenarioConfig, record
 
 
 class ConfigError(ValueError):
@@ -105,6 +104,8 @@ def _parse_enum(enum_cls):
 
 
 _PROBED_VS_K_M = 100  # sensors in every scenario of fig-probed-vs-K
+_M_SWEEP_PRESETS = ("fig-perror-vs-M", "fig-throughput-vs-M", "fig-probed-vs-M",
+                    "fig-throughput-compare", "fig-fading-probed")
 
 
 @dataclass(frozen=True)
@@ -180,13 +181,17 @@ def load_config(path) -> ConfigBundle:
 
 
 def _check_runnable(bundle: ConfigBundle) -> None:
-    """Reject a custom run whose detector cannot handle the configured sensors
-    or cost.
-
-    Other presets and `solve` do not read the detector, so only the custom
-    preset is checked.
+    """Reject a run its preset cannot make: an M sweep over non-identical
+    sensors, or a custom detector that cannot handle the configured sensors
+    or cost. Other presets and `solve` do not read the detector.
     """
-    if bundle.experiment.preset != "custom":
+    preset = bundle.experiment.preset
+    if preset in _M_SWEEP_PRESETS:
+        try:  # the rule every M sweep applies
+            bundle.scenario.with_sensors(bundle.scenario.M)
+        except ValueError as exc:
+            raise ConfigError(f"[scenario] preset '{preset}' sweeps M: {exc}") from exc
+    if preset != "custom":
         return
     kind = bundle.experiment.detector
     if kind in IDENTICAL_ONLY_KINDS and not SensorEnsemble.from_config(bundle.scenario).is_identical:
@@ -291,24 +296,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _record(config) -> dict | None:
-    """A config dataclass as JSON-ready fields: enum members as their values,
-    paths as text."""
-    if config is None:
-        return None
-    return {
-        k: v.value if isinstance(v, enum.Enum) else str(v) if isinstance(v, Path) else v
-        for k, v in asdict(config).items()
-    }
-
-
 def _write_meta(path: Path, bundle: ConfigBundle, csv_path: Path) -> None:
     payload = {
         "ordfuse_version": __version__,
-        "experiment": _record(bundle.experiment),
-        "scenario": _record(bundle.scenario),
-        "cost": _record(bundle.cost),
-        "fading": _record(bundle.fading),
+        "experiment": record(bundle.experiment),
+        "scenario": record(bundle.scenario),
+        "cost": record(bundle.cost),
+        "fading": record(bundle.fading),
         "csv_files": [csv_path.name],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -415,7 +409,7 @@ def _preset_fading_probed(bundle: ConfigBundle):
     fading = bundle.fading or default_fading()
     rows = []
     for m in spec.m_values or (8, 10, 12, 16, 20):
-        cfg = default_scenario(M=m)
+        cfg = bundle.scenario.with_sensors(m)
         met_fade = run_monte_carlo_fading(cfg, fading, "dp", spec.trials, spec.seed, cost_model=cm)
         det = make_detector("dp", cfg, cm)
         met_perfect = run_monte_carlo(cfg, det, spec.trials, spec.seed, cost_model=cm)
@@ -434,11 +428,10 @@ def _preset_fading_probed(bundle: ConfigBundle):
 
 def _preset_thresholds_vs_stage(bundle: ConfigBundle):
     config = bundle.scenario
-    ensemble = SensorEnsemble.from_config(config)
     rows = []
     for c in bundle.experiment.c_values or (0.0, 0.0001, 0.001):
-        policy = solve_backward(config, CostModel.throughput(c=c), ensemble)
-        for k in range(1, policy.k_max + 1):
+        policy = solve_backward(config, CostModel.throughput(c=c))
+        for k in range(1, config.K + 1):
             lo = float(policy.pi_low[k - 1])
             hi = float(policy.pi_high[k - 1])
             rows.append([
@@ -452,7 +445,7 @@ def _preset_thresholds_vs_stage(bundle: ConfigBundle):
 def _preset_sensing_vs_c(bundle: ConfigBundle):
     spec = bundle.experiment
     c_values = spec.c_values or (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
-    config = default_scenario(M=8, K=8)
+    config = bundle.scenario
     rows = [
         [c, config.sensing_time(met.avg_stage), met.p_error, spec.trials, spec.seed]
         for c, met in sweep("c", c_values, config, "dp", spec.trials, spec.seed,
@@ -541,12 +534,11 @@ def main(argv=None) -> int:
             print("config OK")
             return 0
         if args.command == "solve":
-            ensemble = SensorEnsemble.from_config(bundle.scenario)
             if args.one_threshold:
                 _require_pure_throughput(bundle.cost, "solve --one-threshold")
-                policy = solve_one_threshold(bundle.scenario, bundle.cost, ensemble)
+                policy = solve_one_threshold(bundle.scenario, bundle.cost)
             else:
-                policy = solve_backward(bundle.scenario, bundle.cost, ensemble)
+                policy = solve_backward(bundle.scenario, bundle.cost)
             policy.save(args.out)
             print(f"policy written to {args.out}")
             diag = policy.diagnostics

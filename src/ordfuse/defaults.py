@@ -25,12 +25,8 @@ def default_scenario(**overrides) -> ScenarioConfig:
         sigma2_s=(2.0,) * 10,
         measurement_model=MeasurementModel.ENERGY_CHI_SQUARE,
     )
-    if not overrides:
-        return base
     if "M" in overrides:
-        m = overrides["M"]
-        overrides.setdefault("sigma2_s", (base.sigma2_s[0],) * m)
-        overrides.setdefault("K", min(base.K, m))
+        base = base.with_sensors(overrides["M"])
     return replace(base, **overrides)
 
 

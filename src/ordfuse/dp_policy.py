@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .order_stats import SensorEnsemble, ranked_pdf, ranked_pdfs
-from .sensing_model import Hypothesis, ScenarioConfig
+from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig, record
 
 _TIE_TOL = 1e-11  # stop-vs-continue ties within quadrature noise resolve to continuing
 _GAUSS_ORDER = 16  # Gauss-Legendre nodes per quadrature panel
@@ -127,7 +127,8 @@ def decision_cost(
 
 @dataclass
 class PolicyTable:
-    """Per-stage value function, grid actions and extracted belief thresholds.
+    """Per-stage value function, grid actions and extracted belief thresholds,
+    with the scenario they were solved for: its sensors, prior and timing.
 
     Beliefs are the posterior probability the channel is free, so the
     declare-busy region sits below pi_low and declare-free above pi_high.
@@ -139,27 +140,23 @@ class PolicyTable:
     pi_low: np.ndarray  # (K,)
     pi_high: np.ndarray  # (K,)
     cost_model: CostModel
-    k_max: int
-    tau_s: float
-    tau_N: float
-    tau: float
+    scenario: ScenarioConfig
     kind: str = "two-threshold"
     diagnostics: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
         payload = {
             "format": "ordfuse-policy",
-            "version": 1,
+            "version": 2,
             "kind": self.kind,
-            "k_max": self.k_max,
-            "timing": [self.tau_s, self.tau_N, self.tau],
+            "scenario": record(self.scenario),
             "grid": self.grid.tolist(),
             "values": self.values.tolist(),
             "actions": self.actions.astype(int).tolist(),
             "pi_low": self.pi_low.tolist(),
             "pi_high": self.pi_high.tolist(),
             "diagnostics": self.diagnostics,
-            "cost_model": {**asdict(self.cost_model), "mode": self.cost_model.mode.value},
+            "cost_model": record(self.cost_model),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
@@ -168,22 +165,19 @@ class PolicyTable:
     def load(cls, path) -> "PolicyTable":
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != "ordfuse-policy" or payload.get("version") != 1:
+        if payload.get("format") != "ordfuse-policy" or payload.get("version") != 2:
             raise ValueError("not a recognized policy file")
-        cm = dict(payload["cost_model"])
-        cost_model = CostModel(mode=CostMode(cm.pop("mode")), **cm)
-        tau_s, tau_n, tau = payload["timing"]
+        cm = payload["cost_model"]
+        sc = payload["scenario"]
+        model = MeasurementModel(sc["measurement_model"])
         return cls(
             grid=np.asarray(payload["grid"], dtype=float),
             values=np.asarray(payload["values"], dtype=float),
             actions=np.asarray(payload["actions"], dtype=np.int8),
             pi_low=np.asarray(payload["pi_low"], dtype=float),
             pi_high=np.asarray(payload["pi_high"], dtype=float),
-            cost_model=cost_model,
-            k_max=int(payload["k_max"]),
-            tau_s=float(tau_s),
-            tau_N=float(tau_n),
-            tau=float(tau),
+            cost_model=CostModel(**{**cm, "mode": CostMode(cm["mode"])}),
+            scenario=ScenarioConfig(**{**sc, "measurement_model": model}),
             kind=payload["kind"],
             diagnostics=dict(payload.get("diagnostics", {})),
         )
@@ -241,12 +235,13 @@ def _quadrature_edges(ensemble: SensorEnsemble, per_segment: int) -> np.ndarray:
     return np.unique(np.concatenate([[lo], *pieces, [hi]]))
 
 
-def _quadrature_rank_densities(config: ScenarioConfig, ensemble: SensorEnsemble):
+def _quadrature_rank_densities(config: ScenarioConfig):
     """Nodes, weights and normalized rank densities for ranks 1..K.
 
     Node masses are forced to one per (rank, hypothesis); a mass off by more
     than the tolerance even after panel doubling raises SolverError.
     """
+    ensemble = SensorEnsemble.from_config(config)
     for per_segment in (24, 48):
         nodes, weights = panels_from_edges(_quadrature_edges(ensemble, per_segment))
         f0 = ranked_pdfs(config.K, nodes, Hypothesis.H0, ensemble)
@@ -343,19 +338,12 @@ def _extract_thresholds(actions_row: np.ndarray, grid: np.ndarray) -> tuple[floa
     return pi_low, pi_high
 
 
-def _solve(
-    config: ScenarioConfig,
-    cost_model: CostModel,
-    ensemble: SensorEnsemble,
-    grid_size: int,
-) -> PolicyTable:
+def _solve(config: ScenarioConfig, cost_model: CostModel, grid_size: int) -> PolicyTable:
     if grid_size < 101:
         raise ValueError("grid_size must be >= 101")
-    if ensemble.m != config.M:
-        raise ValueError("ensemble size must match the configured sensor count")
     k_max = config.K
     grid = _belief_grid(grid_size)
-    nodes, weights, f0, f1, quad_err = _quadrature_rank_densities(config, ensemble)
+    nodes, weights, f0, f1, quad_err = _quadrature_rank_densities(config)
 
     values = np.zeros((k_max, grid_size))
     actions = np.zeros((k_max, grid_size), dtype=np.int8)
@@ -385,10 +373,7 @@ def _solve(
         pi_low=pi_low,
         pi_high=pi_high,
         cost_model=cost_model,
-        k_max=k_max,
-        tau_s=config.tau_s,
-        tau_N=config.tau_N,
-        tau=config.tau,
+        scenario=config,
         diagnostics={
             "quadrature_mass_error": float(quad_err),
             "nodes": len(nodes),
@@ -398,20 +383,14 @@ def _solve(
 
 
 def solve_backward(
-    config: ScenarioConfig,
-    cost_model: CostModel,
-    ensemble: SensorEnsemble,
-    grid_size: int = 1001,
+    config: ScenarioConfig, cost_model: CostModel, grid_size: int = 1001
 ) -> PolicyTable:
     """Two-threshold backward induction over the belief grid."""
-    return _solve(config, cost_model, ensemble, grid_size)
+    return _solve(config, cost_model, grid_size)
 
 
 def solve_one_threshold(
-    config: ScenarioConfig,
-    cost_model: CostModel,
-    ensemble: SensorEnsemble,
-    grid_size: int = 1001,
+    config: ScenarioConfig, cost_model: CostModel, grid_size: int = 1001
 ) -> PolicyTable:
     """Throughput special case: before the last stage the only stop is declare-free.
 
@@ -424,27 +403,28 @@ def solve_one_threshold(
     """
     if not cost_model.is_pure_throughput:
         raise ValueError("one-threshold solve requires c = 0 and zero auxiliary costs")
-    return replace(_solve(config, cost_model, ensemble, grid_size), kind="one-threshold")
+    return replace(_solve(config, cost_model, grid_size), kind="one-threshold")
 
 
-def run_policy_batch(
-    ordered_values: np.ndarray, policy: PolicyTable, ensemble: SensorEnsemble, pi0: float
-):
-    """Vectorized policy execution over slots.
+def run_policy_batch(ordered_values: np.ndarray, policy: PolicyTable):
+    """Vectorized policy execution over slots, from the prior and on the
+    sensors of the scenario the policy was solved for.
 
     Returns (declared, stage) arrays; declared in {0, 1}, stage in 1..K.
     """
+    k_max = policy.scenario.K
+    ensemble = SensorEnsemble.from_config(policy.scenario)
     y = np.asarray(ordered_values, dtype=float)
-    if y.ndim != 2 or y.shape[1] < policy.k_max:
-        raise ValueError(f"need at least K={policy.k_max} ordered values per slot")
+    if y.ndim != 2 or y.shape[1] < k_max:
+        raise ValueError(f"need at least K={k_max} ordered values per slot")
     n = y.shape[0]
     declared = np.full(n, -1, dtype=np.int8)
     stage = np.zeros(n, dtype=np.int64)
     # slots still running and their beliefs; stopped slots are dropped, so
     # densities and updates are evaluated only where they are used
     active = np.arange(n)
-    pi = np.full(n, float(pi0))
-    for k in range(1, policy.k_max + 1):
+    pi = np.full(n, float(policy.scenario.pi0))
+    for k in range(1, k_max + 1):
         yk = y[active, k - 1]
         f0 = np.asarray(ranked_pdf(k, yk, Hypothesis.H0, ensemble), dtype=float)
         f1 = np.asarray(ranked_pdf(k, yk, Hypothesis.H1, ensemble), dtype=float)
@@ -456,7 +436,7 @@ def run_policy_batch(
             )
         pi = pi * f0 / den
         stop_h0 = pi >= policy.pi_high[k - 1]
-        if k == policy.k_max:
+        if k == k_max:
             declared[active] = np.where(stop_h0, 0, 1)
             stage[active] = k
             break

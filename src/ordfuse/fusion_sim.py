@@ -55,9 +55,8 @@ def make_detector(kind: str, config: ScenarioConfig, cost_model: CostModel | Non
     The callables look the batch functions up when called, so a wrapper
     installed on the module (as the benchmark's tracer does) sees every call.
     """
-    ensemble = SensorEnsemble.from_config(config)
     if kind in IDENTICAL_ONLY_KINDS:
-        if not ensemble.is_identical:
+        if not SensorEnsemble.from_config(config).is_identical:
             raise ValueError(f"detector '{kind}' requires identical sensors")
         law = law_for_sensor(config, 0)
         if kind == "bs":
@@ -73,8 +72,8 @@ def make_detector(kind: str, config: ScenarioConfig, cost_model: CostModel | Non
         if cost_model is None:
             raise ValueError(f"{kind} detector needs a cost model")
         solve = solve_backward if kind == "dp" else solve_one_threshold
-        policy = solve(config, cost_model, ensemble)
-        return lambda ordered_values: run_policy_batch(ordered_values, policy, ensemble, config.pi0)
+        policy = solve(config, cost_model)
+        return lambda ordered_values: run_policy_batch(ordered_values, policy)
     if kind == "prior-only":
         return prior_only(config.pi0)
     raise ValueError(f"unknown detector kind: {kind}")
@@ -169,12 +168,7 @@ def _apply_axis(
     axis: str, value, config: ScenarioConfig, cost_model: CostModel | None
 ) -> tuple[ScenarioConfig, CostModel | None]:
     if axis == "M":
-        m = int(value)
-        kwargs = dict(M=m, K=min(config.K, m), sigma2_s=(config.sigma2_s[0],) * m)
-        if config.mu0 is not None:
-            kwargs["mu0"] = (config.mu0[0],) * m
-            kwargs["mu1"] = (config.mu1[0],) * m
-        return replace(config, **kwargs), cost_model
+        return config.with_sensors(int(value)), cost_model
     if axis == "K":
         k = int(value)
         tau, tau_n = config.tau, config.tau_N

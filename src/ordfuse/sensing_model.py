@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +19,17 @@ class Hypothesis(enum.IntEnum):
 class MeasurementModel(enum.Enum):
     ENERGY_CHI_SQUARE = "energy"
     SHIFT_IN_MEAN_GAUSSIAN = "shift-in-mean"
+
+
+def record(config) -> dict | None:
+    """A config dataclass as JSON-ready fields: enum members as their values,
+    paths as text."""
+    if config is None:
+        return None
+    return {
+        k: v.value if isinstance(v, enum.Enum) else str(v) if isinstance(v, Path) else v
+        for k, v in asdict(config).items()
+    }
 
 
 def _as_sensor_list(value, m: int, name: str) -> tuple[float, ...]:
@@ -69,6 +81,18 @@ class ScenarioConfig:
             object.__setattr__(self, "mu1", _as_sensor_list(self.mu1, self.M, "mu1"))
             if any(a == b for a, b in zip(self.mu0, self.mu1)):
                 raise ValueError("shift-in-mean model requires mu0 != mu1 per sensor")
+
+    def with_sensors(self, m: int) -> "ScenarioConfig":
+        """The same scenario on m sensors: K capped at m and each per-sensor
+        value repeated. Non-identical sensors have no value to repeat."""
+        per_sensor = {
+            name: values for name in ("sigma2_s", "mu0", "mu1")
+            if (values := getattr(self, name)) is not None
+        }
+        if any(len(set(values)) > 1 for values in per_sensor.values()):
+            raise ValueError("changing the sensor count requires identical sensors")
+        return replace(self, M=m, K=min(self.K, m),
+                       **{name: values[:1] * m for name, values in per_sensor.items()})
 
     def snr(self, sensor: int) -> float:
         """Local SNR gamma_i = sigma2_s_i / sigma2."""

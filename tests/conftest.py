@@ -43,28 +43,28 @@ def zero_cost_throughput():
 
 
 @pytest.fixture(scope="session")
-def policy_throughput_zero(scenario, ensemble, zero_cost_throughput):
-    return solve_backward(scenario, zero_cost_throughput, ensemble)
+def policy_throughput_zero(scenario, zero_cost_throughput):
+    return solve_backward(scenario, zero_cost_throughput)
 
 
 @pytest.fixture(scope="session")
-def policy_one_threshold(scenario, ensemble, zero_cost_throughput):
-    return solve_one_threshold(scenario, zero_cost_throughput, ensemble)
+def policy_one_threshold(scenario, zero_cost_throughput):
+    return solve_one_threshold(scenario, zero_cost_throughput)
 
 
 @pytest.fixture(scope="session")
-def policy_error_min(scenario, ensemble):
-    return solve_backward(scenario, CostModel.error_min(c=0.0001), ensemble)
+def policy_error_min(scenario):
+    return solve_backward(scenario, CostModel.error_min(c=0.0001))
 
 
 @pytest.fixture(scope="session")
-def policy_error_min_free(scenario, ensemble):
-    return solve_backward(scenario, CostModel.error_min(c=0.0), ensemble)
+def policy_error_min_free(scenario):
+    return solve_backward(scenario, CostModel.error_min(c=0.0))
 
 
 @pytest.fixture(scope="session")
-def policy_throughput_default(scenario, ensemble):
-    return solve_backward(scenario, CostModel.throughput(c=0.0001), ensemble)
+def policy_throughput_default(scenario):
+    return solve_backward(scenario, CostModel.throughput(c=0.0001))
 
 
 @pytest.fixture(scope="session")

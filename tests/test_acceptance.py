@@ -48,18 +48,16 @@ def zero_cost_model():
 @pytest.fixture(scope="module")
 def throughput_policies(zero_cost_model):
     cfg = default_scenario()
-    ens = SensorEnsemble.from_config(cfg)
-    two = solve_backward(cfg, zero_cost_model, ens, grid_size=1001)
-    one = solve_one_threshold(cfg, zero_cost_model, ens, grid_size=1001)
-    return cfg, ens, two, one
+    two = solve_backward(cfg, zero_cost_model, grid_size=1001)
+    one = solve_one_threshold(cfg, zero_cost_model, grid_size=1001)
+    return cfg, two, one
 
 
 @pytest.fixture(scope="module")
 def policy_m60():
     cfg = default_scenario(M=60)
     cm = CostModel.throughput(c=0.0001)
-    ens = SensorEnsemble.from_config(cfg)
-    return cfg, cm, solve_backward(cfg, cm, ens, grid_size=1001)
+    return cfg, cm, solve_backward(cfg, cm, grid_size=1001)
 
 
 def test_criterion_1_fading_participation_constant():
@@ -88,13 +86,13 @@ def test_criterion_2_sequential_block_equivalence():
 
 def test_criterion_3_zero_lower_threshold(throughput_policies):
     started = time.time()
-    cfg, ens, two, one = throughput_policies
+    cfg, two, one = throughput_policies
     lows_zero = bool(np.all(two.pi_low[: cfg.K - 1] == 0.0))
     h1_empty = not np.any(two.actions[: cfg.K - 1] == 1)
 
     _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(314), 10_000)
-    d_two, s_two = run_policy_batch(ordered, two, ens, cfg.pi0)
-    d_one, s_one = run_policy_batch(ordered, one, ens, cfg.pi0)
+    d_two, s_two = run_policy_batch(ordered, two)
+    d_one, s_one = run_policy_batch(ordered, one)
     coincide = np.array_equal(d_two, d_one) and np.array_equal(s_two, s_one)
 
     ok = lows_zero and h1_empty and coincide
@@ -109,10 +107,9 @@ def test_criterion_3_zero_lower_threshold(throughput_policies):
 def test_criterion_4_genie_throughput_limit(policy_m60):
     started = time.time()
     cfg, cm, policy = policy_m60
-    ens = SensorEnsemble.from_config(cfg)
 
     def detector(ordered_values):
-        return run_policy_batch(ordered_values, policy, ens, cfg.pi0)
+        return run_policy_batch(ordered_values, policy)
 
     met = run_monte_carlo(cfg, detector, 100_000, seed=60613, cost_model=cm)
     target = cfg.pi0 * (1.0 - (cfg.tau_N + cfg.tau) / cfg.tau_s)
@@ -164,7 +161,8 @@ def test_criterion_6_high_snr_probing_bound():
 
 def test_criterion_7_property_suite(throughput_policies, policy_m60):
     started = time.time()
-    cfg, ens, two, _ = throughput_policies
+    cfg, two, _ = throughput_policies
+    ens = SensorEnsemble.from_config(cfg)
     law = ens.laws[0]
     checks = {}
 
@@ -225,7 +223,7 @@ def test_criterion_7_property_suite(throughput_policies, policy_m60):
 
     # (f) concavity of every throughput solve used in this suite
     cfg60, cm60, pol60 = policy_m60
-    pol_paid = solve_backward(cfg, CostModel.throughput(c=0.0001), ens)
+    pol_paid = solve_backward(cfg, CostModel.throughput(c=0.0001))
     checks["f:concavity"] = (
         concavity_check(two) and concavity_check(pol60) and concavity_check(pol_paid)
     )

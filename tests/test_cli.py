@@ -184,6 +184,32 @@ class TestRunExperiment:
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0)
 
+    def test_sensing_vs_c_runs_loaded_scenario(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            f"[scenario]\nM = 6\nK = 6\n[experiment]\npreset = fig-sensing-vs-c\ntrials = 500\n"
+            f"seed = 2\noutput = {tmp_path / 'out'}\nc_values = 0\n",
+        )
+        run_experiment(load_config(cfg))
+        with open(tmp_path / "out" / "fig-sensing-vs-c.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # at c = 0 the error-min policy probes all K = 6 reports
+        assert float(rows[0]["c"]) == 0.0
+        assert float(rows[0]["avg_sensing_time"]) == pytest.approx(0.8)
+
+    def test_fading_probed_runs_loaded_scenario(self, tmp_path):
+        def run(scenario: str, name: str) -> bytes:
+            cfg = _write(
+                tmp_path,
+                f"{scenario}[experiment]\npreset = fig-fading-probed\ntrials = 300\nseed = 1\n"
+                "m_values = 10\n",
+                f"{name}.ini",
+            )
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "fig-fading-probed.csv").read_bytes()
+
+        loaded = run("[scenario]\nN = 1\npi0 = 0.2\nsigma2_s = 5.0\n", "loaded")
+        assert loaded != run("", "baseline")
 
     def test_sidecar_records_every_config_field(self, tmp_path):
         # every value differs from its default, so a key the loader drops shows
@@ -306,6 +332,25 @@ class TestMain:
         assert main(argv) == 2
         assert "requires identical sensors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "preset",
+        ["fig-perror-vs-M", "fig-throughput-vs-M", "fig-probed-vs-M", "fig-throughput-compare",
+         "fig-fading-probed"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_m_sweep_needs_identical_sensors_exit_2(self, tmp_path, capsys, command, preset):
+        cfg = _write(
+            tmp_path,
+            f"[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\npreset = {preset}\ntrials = 10\n",
+        )
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert "identical sensors" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_identical_config_solves_and_runs_other_presets(self, tmp_path):
         cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n")
         out = tmp_path / "policy.json"
@@ -376,7 +421,7 @@ class TestMain:
         out = tmp_path / "policy.json"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         policy = PolicyTable.load(out)
-        assert policy.k_max == 8
+        assert policy.scenario == load_config(cfg).scenario
         assert policy.kind == "two-threshold"
 
     def test_solve_prints_diagnostics(self, tmp_path, capsys):

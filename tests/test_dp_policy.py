@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -34,7 +35,7 @@ from ordfuse.reference import (
     posterior_update,
     posterior_update_exact,
 )
-from ordfuse.sensing_model import Hypothesis, MeasurementModel, draw_slots
+from ordfuse.sensing_model import Hypothesis, MeasurementModel, ScenarioConfig, draw_slots
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
@@ -43,9 +44,8 @@ H0, H1 = Hypothesis.H0, Hypothesis.H1
 def non_identical():
     """M=6 sensors with distinct signal powers and their error-min policy."""
     cfg = default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
-    ens = SensorEnsemble.from_config(cfg)
-    assert not ens.is_identical
-    return cfg, ens, solve_backward(cfg, CostModel.error_min(c=0.0001), ens)
+    assert not SensorEnsemble.from_config(cfg).is_identical
+    return cfg, solve_backward(cfg, CostModel.error_min(c=0.0001))
 
 
 class TestDecisionCost:
@@ -158,8 +158,8 @@ class TestSolveBackward:
             policy_error_min.values[-1], np.minimum(grid, 1.0 - grid), atol=0
         )
 
-    def test_large_continuation_cost_stops_immediately(self, scenario, ensemble):
-        policy = solve_backward(scenario, CostModel.error_min(c=0.5), ensemble)
+    def test_large_continuation_cost_stops_immediately(self, scenario):
+        policy = solve_backward(scenario, CostModel.error_min(c=0.5))
         assert not np.any(policy.actions == Action.CONTINUE)
 
     def test_zero_lower_threshold_theorem(self, policy_throughput_zero, scenario):
@@ -172,7 +172,7 @@ class TestSolveBackward:
         for policy in (policy_throughput_zero, policy_throughput_default):
             np.testing.assert_allclose(policy.values[:, 0], -0.5, atol=1e-8)
 
-    def test_value_below_stop_costs(self, scenario, ensemble, policy_throughput_default):
+    def test_value_below_stop_costs(self, scenario, policy_throughput_default):
         from ordfuse.dp_policy import _stage_stop_costs
 
         for k in range(1, scenario.K + 1):
@@ -194,12 +194,11 @@ class TestSolveBackward:
             pi_low=policy_error_min.pi_low[-1:],
             pi_high=policy_error_min.pi_high[-1:],
             cost_model=policy_error_min.cost_model,
-            k_max=1,
-            tau_s=1.0, tau_N=0.2, tau=0.1,
+            scenario=replace(policy_error_min.scenario, K=1),
         )
         assert concavity_check(terminal_only)
 
-    def test_quadrature_failure_raises_solver_error(self, scenario, ensemble, monkeypatch):
+    def test_quadrature_failure_raises_solver_error(self, scenario, monkeypatch):
         import ordfuse.dp_policy as dp
 
         def starved_edges(ens, per_segment):
@@ -210,7 +209,7 @@ class TestSolveBackward:
 
         monkeypatch.setattr(dp, "_quadrature_edges", starved_edges)
         with pytest.raises(dp.SolverError, match="node masses"):
-            solve_backward(scenario, CostModel.error_min(), ensemble)
+            solve_backward(scenario, CostModel.error_min())
 
     def test_concavity_negative_control(self, policy_throughput_zero):
         corrupted = PolicyTable(
@@ -220,19 +219,16 @@ class TestSolveBackward:
             pi_low=policy_throughput_zero.pi_low,
             pi_high=policy_throughput_zero.pi_high,
             cost_model=policy_throughput_zero.cost_model,
-            k_max=policy_throughput_zero.k_max,
-            tau_s=policy_throughput_zero.tau_s,
-            tau_N=policy_throughput_zero.tau_N,
-            tau=policy_throughput_zero.tau,
+            scenario=policy_throughput_zero.scenario,
         )
         span = corrupted.values[3].max() - corrupted.values[3].min()
         corrupted.values[3, 500] += 1e-3 * span
         assert not concavity_check(corrupted)
 
-    def test_grid_refinement_stability(self, scenario, ensemble):
+    def test_grid_refinement_stability(self, scenario):
         cm = CostModel.throughput(c=0.0001)
-        coarse = solve_backward(scenario, cm, ensemble, grid_size=1001)
-        fine = solve_backward(scenario, cm, ensemble, grid_size=2001)
+        coarse = solve_backward(scenario, cm, grid_size=1001)
+        fine = solve_backward(scenario, cm, grid_size=2001)
         for k in range(scenario.K):
             for coarse_thr, fine_thr in (
                 (coarse.pi_low[k], fine.pi_low[k]),
@@ -243,9 +239,9 @@ class TestSolveBackward:
                 hi = coarse.grid[min(idx + 2, len(coarse.grid) - 1)]
                 assert lo - 1e-12 <= fine_thr <= hi + 1e-12
 
-    def test_grid_size_validated(self, scenario, ensemble):
+    def test_grid_size_validated(self, scenario):
         with pytest.raises(ValueError, match="grid_size"):
-            solve_backward(scenario, CostModel.error_min(), ensemble, grid_size=50)
+            solve_backward(scenario, CostModel.error_min(), grid_size=50)
 
     def test_error_min_c0_never_stops_early(self, policy_error_min_free, scenario):
         early = policy_error_min_free.actions[: scenario.K - 1]
@@ -253,7 +249,7 @@ class TestSolveBackward:
         assert np.all(interior == Action.CONTINUE)
 
 
-def _assert_matches_dense(monkeypatch, cfg, cost_model, ens, grid_size=1001):
+def _assert_matches_dense(monkeypatch, cfg, cost_model, grid_size=1001):
     """Solve with `reference.dense_continuation` as the continuation, and with
     the runtime one.
 
@@ -271,8 +267,8 @@ def _assert_matches_dense(monkeypatch, cfg, cost_model, ens, grid_size=1001):
 
     with monkeypatch.context() as m:
         m.setattr(dp, "_continuation", checked)
-        dense = solve_backward(cfg, cost_model, ens, grid_size)
-    fast = solve_backward(cfg, cost_model, ens, grid_size)
+        dense = solve_backward(cfg, cost_model, grid_size)
+    fast = solve_backward(cfg, cost_model, grid_size)
     assert max(gaps) <= 1e-13
     np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
     assert np.array_equal(fast.actions, dense.actions)
@@ -281,16 +277,15 @@ def _assert_matches_dense(monkeypatch, cfg, cost_model, ens, grid_size=1001):
 
 
 class TestContinuation:
-    def test_matches_dense_reference(self, monkeypatch, scenario, ensemble, non_identical):
+    def test_matches_dense_reference(self, monkeypatch, scenario, non_identical):
         """The log-odds correlation computes the dense oracle's interpolant
         exactly, so solves of the identical M=10 and non-identical M=6
         sensors, under both cost modes and on grids of 1001, 129 and 225
         points, differ from the oracle's only by rounding."""
-        cfg6, ens6, _ = non_identical
-        for cfg, ens in ((scenario, ensemble), (cfg6, ens6)):
+        for cfg in (scenario, non_identical[0]):
             for cost_model in (CostModel.error_min(c=0.0001), CostModel.throughput(c=0.0001)):
                 for grid_size in (1001, 129, 225):
-                    _assert_matches_dense(monkeypatch, cfg, cost_model, ens, grid_size)
+                    _assert_matches_dense(monkeypatch, cfg, cost_model, grid_size)
 
     def test_values_reproducible_across_blas_threads(self):
         """Solve values have the same bytes with one and two BLAS threads."""
@@ -298,9 +293,8 @@ class TestContinuation:
             "import hashlib\n"
             "from ordfuse.defaults import default_scenario\n"
             "from ordfuse.dp_policy import CostModel, solve_backward\n"
-            "from ordfuse.order_stats import SensorEnsemble\n"
             "for cfg in (default_scenario(), default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))):\n"
-            "    policy = solve_backward(cfg, CostModel.error_min(c=0.0001), SensorEnsemble.from_config(cfg))\n"
+            "    policy = solve_backward(cfg, CostModel.error_min(c=0.0001))\n"
             "    print(hashlib.sha256(policy.values.tobytes()).hexdigest())\n"
         )
         digests = []
@@ -365,7 +359,7 @@ class TestFragileRegimes:
     @_FRAGILE
     def test_solve_matches_dense_oracle(self, monkeypatch, overrides, grid_size, cost_model):
         cfg = default_scenario(**overrides)
-        _assert_matches_dense(monkeypatch, cfg, cost_model, SensorEnsemble.from_config(cfg), grid_size)
+        _assert_matches_dense(monkeypatch, cfg, cost_model, grid_size)
 
     @pytest.mark.parametrize(
         "cost_model",
@@ -378,27 +372,27 @@ class TestFragileRegimes:
         # the one-threshold solve is this solve under its label, so this is
         # what makes it one-threshold
         cfg = default_scenario(**overrides)
-        policy = solve_backward(cfg, cost_model, SensorEnsemble.from_config(cfg), grid_size)
+        policy = solve_backward(cfg, cost_model, grid_size)
         k = cfg.K
         assert not np.any(policy.actions[: k - 1] == Action.DECLARE_H1)
         assert np.all(policy.pi_low[: k - 1] == 0.0)
 
 
 class TestOneThreshold:
-    def test_requires_zero_cost_model(self, scenario, ensemble):
+    def test_requires_zero_cost_model(self, scenario):
         with pytest.raises(ValueError, match="one-threshold"):
-            solve_one_threshold(scenario, CostModel.throughput(c=0.0001), ensemble)
+            solve_one_threshold(scenario, CostModel.throughput(c=0.0001))
         with pytest.raises(ValueError, match="one-threshold"):
-            solve_one_threshold(scenario, CostModel.error_min(c=0.0), ensemble)
+            solve_one_threshold(scenario, CostModel.error_min(c=0.0))
 
     def test_no_busy_region_before_horizon(self, policy_one_threshold, scenario):
         early = policy_one_threshold.actions[: scenario.K - 1]
         assert not np.any(early == Action.DECLARE_H1)
         assert np.all(policy_one_threshold.pi_low[: scenario.K - 1] == 0.0)
 
-    def test_certain_free_declares_free(self, policy_one_threshold, ensemble):
-        declared, stage = run_policy_batch(
-            np.full((1, 8), 0.5), policy_one_threshold, ensemble, pi0=1.0)
+    def test_certain_free_declares_free(self, scenario, zero_cost_throughput):
+        policy = solve_one_threshold(replace(scenario, pi0=1.0), zero_cost_throughput)
+        declared, stage = run_policy_batch(np.full((1, 8), 0.5), policy)
         assert declared[0] == H0
         assert stage[0] == 1
 
@@ -409,49 +403,48 @@ class TestOneThreshold:
 
 
 class TestRunPolicy:
-    def test_large_cost_stops_at_stage_one(self, scenario, ensemble):
-        policy = solve_backward(scenario, CostModel.error_min(c=0.5), ensemble)
+    def test_large_cost_stops_at_stage_one(self, scenario):
+        policy = solve_backward(scenario, CostModel.error_min(c=0.5))
         _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(47), 100)
-        _, stage = run_policy_batch(ordered, policy, ensemble, scenario.pi0)
+        _, stage = run_policy_batch(ordered, policy)
         assert np.all(stage == 1)
 
-    def test_certain_free_prior(self, scenario, ensemble, policy_throughput_default):
-        declared, stage = run_policy_batch(
-            np.ones((1, 8)), policy_throughput_default, ensemble, pi0=1.0)
+    def test_certain_free_prior(self, scenario):
+        policy = solve_backward(replace(scenario, pi0=1.0), CostModel.throughput(c=0.0001))
+        declared, stage = run_policy_batch(np.ones((1, 8)), policy)
         assert declared[0] == H0
         assert stage[0] == 1
         assert scenario.sensing_time(int(stage[0])) == pytest.approx(scenario.tau_N + scenario.tau)
 
     @staticmethod
-    def _assert_single_matches_batch(cfg, ensemble, policy, n_slots=50):
+    def _assert_single_matches_batch(cfg, policy, n_slots=50):
         # each slot run alone, as a one-row batch, decides as it does in the batch
         _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(53), n_slots)
-        declared, stage = run_policy_batch(ordered, policy, ensemble, cfg.pi0)
+        declared, stage = run_policy_batch(ordered, policy)
         for i in range(n_slots):
-            one_declared, one_stage = run_policy_batch(
-                ordered[i : i + 1], policy, ensemble, cfg.pi0)
+            one_declared, one_stage = run_policy_batch(ordered[i : i + 1], policy)
             assert one_declared[0] == declared[i]
             assert one_stage[0] == stage[i]
 
-    def test_single_and_batch_agree(self, scenario, ensemble, policy_error_min):
-        self._assert_single_matches_batch(scenario, ensemble, policy_error_min)
+    def test_single_and_batch_agree(self, scenario, policy_error_min):
+        self._assert_single_matches_batch(scenario, policy_error_min)
 
     def test_single_and_batch_agree_non_identical(self, non_identical):
         # enough slots that some stop at every stage, so the batch drops
         # slots in many patterns while the survivors' beliefs must not shift
         self._assert_single_matches_batch(*non_identical, n_slots=256)
 
-    def test_report_outside_support_raises(self, ensemble, policy_error_min):
+    def test_report_outside_support_raises(self, policy_error_min):
         # -5.0 lies below the energy law's support, so no rank density is positive
         with pytest.raises(PosteriorUndefined):
-            run_policy_batch(np.full((1, 8), -5.0), policy_error_min, ensemble, pi0=0.5)
+            run_policy_batch(np.full((1, 8), -5.0), policy_error_min)
 
-    def test_report_outside_support_after_stopping_is_ignored(self, ensemble, policy_error_min):
+    def test_report_outside_support_after_stopping_is_ignored(self, policy_error_min):
         # the first slot declares busy on its first report; its later reports
         # lie outside the support but are never read
         _, _, ordered, _ = draw_slots(default_scenario(), np.random.default_rng(67), 1)
         slots = np.vstack([[12.0] + [-5.0] * 7, ordered[0, :8]])
-        declared, stage = run_policy_batch(slots, policy_error_min, ensemble, 0.5)
+        declared, stage = run_policy_batch(slots, policy_error_min)
         assert declared[0] == 1 and stage[0] == 1
         assert stage[1] >= 1
 
@@ -461,10 +454,9 @@ class TestRunPolicy:
         means = []
         for m in (10, 20, 30):
             cfg = default_scenario(M=m)
-            ens = SensorEnsemble.from_config(cfg)
-            policy = solve_backward(cfg, cm, ens)
+            policy = solve_backward(cfg, cm)
             _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(59), 20_000)
-            _, stage = run_policy_batch(ordered, policy, ens, cfg.pi0)
+            _, stage = run_policy_batch(ordered, policy)
             means.append(stage.mean())
         assert means[0] > means[1] > means[2]
         assert means[2] < 2.5
@@ -481,7 +473,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.pi_low, policy_throughput_default.pi_low)
         assert loaded.cost_model == policy_throughput_default.cost_model
         assert loaded.kind == policy_throughput_default.kind
-        assert loaded.tau == policy_throughput_default.tau
+        assert loaded.scenario == policy_throughput_default.scenario
 
         # every cost field survives the file, not only the ones the fixture sets
         cm = CostModel(
@@ -494,6 +486,29 @@ class TestSerialization:
         replace(policy_throughput_default, cost_model=cm).save(path)
         assert PolicyTable.load(path).cost_model == cm
 
+        # and every scenario field: shift-in-mean with per-sensor values
+        sc = ScenarioConfig(
+            M=4, N=2, K=3, tau_s=2.0, tau_N=0.3, tau=0.2, pi0=0.4, sigma2=1.5,
+            sigma2_s=(1.0, 2.5, 3.0, 4.0),
+            measurement_model=MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
+            mu0=(-0.5, -1.0, 0.0, 0.25), mu1=(0.75, 1.0, 2.0, 1.5),
+        )
+        base = default_scenario()
+        assert all(getattr(sc, f.name) != getattr(base, f.name) for f in fields(ScenarioConfig))
+        replace(policy_throughput_default, scenario=sc).save(path)
+        assert PolicyTable.load(path).scenario == sc
+
+    @pytest.mark.parametrize("which", ["identical", "non-identical"])
+    def test_loaded_policy_decides_as_solved(self, which, policy_error_min, non_identical, tmp_path):
+        policy = policy_error_min if which == "identical" else non_identical[1]
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        _, _, ordered, _ = draw_slots(policy.scenario, np.random.default_rng(73), 2000)
+        declared, stage = run_policy_batch(ordered, PolicyTable.load(path))
+        expected_declared, expected_stage = run_policy_batch(ordered, policy)
+        np.testing.assert_array_equal(declared, expected_declared)
+        np.testing.assert_array_equal(stage, expected_stage)
+
     def test_diagnostics_round_trip(self, policy_throughput_default, tmp_path):
         path = tmp_path / "policy.json"
         policy_throughput_default.save(path)
@@ -504,6 +519,17 @@ class TestSerialization:
         assert loaded.diagnostics["grid_size"] == policy_throughput_default.grid.size == 1001
         assert 0.0 <= loaded.diagnostics["quadrature_mass_error"] <= 1e-6
         assert concavity_check(loaded)
+
+    def test_rejects_version_1_file(self, policy_error_min, tmp_path):
+        # version 1 kept K and the timing but no sensors or prior
+        path = tmp_path / "policy.json"
+        policy_error_min.save(path)
+        payload = json.loads(path.read_text())
+        del payload["scenario"]
+        payload.update(version=1, k_max=8, timing=[1.0, 0.2, 0.1])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="not a recognized policy file"):
+            PolicyTable.load(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"

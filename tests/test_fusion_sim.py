@@ -154,6 +154,12 @@ class TestSweep:
         results = sweep("M", [15], scenario, "bs", 500, seed=14)
         assert results[0][1].trials == 500
 
+    def test_m_axis_rejects_non_identical_sensors(self):
+        # there is no one signal power to repeat over the new sensor count
+        cfg = default_scenario(M=4, sigma2_s=(1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(ValueError, match="identical sensors"):
+            sweep("M", [4, 6], cfg, "dp", 10, seed=18, cost_model=CostModel.error_min())
+
     def test_unknown_axis_rejected(self, scenario):
         with pytest.raises(ValueError, match="axis"):
             sweep("Q", [1], scenario, "bs", 10, seed=17)

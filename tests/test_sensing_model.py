@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,24 @@ class TestScenarioConfig:
     def test_shift_in_mean_requires_means(self):
         with pytest.raises(ValueError, match="mu0 and mu1"):
             default_scenario(measurement_model=MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN)
+
+    @pytest.mark.parametrize("m", [1, 4, 10, 16, 100])
+    def test_default_scenario_on_m_sensors(self, m):
+        # K capped at m and the signal power repeated, with or without a K
+        base = default_scenario()
+        assert default_scenario(M=m) == replace(base, M=m, K=min(8, m), sigma2_s=(2.0,) * m)
+        for k in range(1, min(m, 8) + 1):
+            assert default_scenario(M=m, K=k) == replace(base, M=m, K=k, sigma2_s=(2.0,) * m)
+
+    def test_with_sensors_repeats_means(self, shift_scenario):
+        cfg = shift_scenario.with_sensors(3)
+        assert (cfg.M, cfg.K, cfg.mu0, cfg.mu1) == (3, 3, (-1.0,) * 3, (1.0,) * 3)
+        assert cfg.sigma2_s == (2.0,) * 3
+
+    def test_with_sensors_rejects_non_identical(self):
+        cfg = default_scenario(M=4, sigma2_s=(1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(ValueError, match="identical sensors"):
+            cfg.with_sensors(8)
 
 
 class TestLlrFromSamples:
