@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .llr_distributions import LlrLaw, correction_term, envelope_for
+from .llr_distributions import LlrLaw, envelope_for
 from .sensing_model import ScenarioConfig
 
 
@@ -23,10 +23,13 @@ def _stage_extrema(absy: np.ndarray, law: LlrLaw):
     point of the same slot, keeping the sequential and block rules aligned.
     The suffix extrema include the stage's own point, so this equals the
     extrema over [0, |y_k|] (`reference.envelope_extrema`) combined with
-    them, with the term evaluated once per report.
+    them. The envelope's table gives the term at each report, and one cell
+    index per report serves both the table and the grid extrema.
     """
-    grid_min, grid_max = envelope_for(law).prefix_extrema(absy)
-    point = np.asarray(correction_term(absy, law), dtype=float)
+    envelope = envelope_for(law)
+    cell = envelope.cell(absy)
+    grid_min, grid_max = envelope.prefix_extrema(cell)
+    point = envelope.term(absy, cell)
     suf_min = np.minimum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
     suf_max = np.maximum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
     return np.minimum(grid_min, suf_min), np.maximum(grid_max, suf_max), point
@@ -77,6 +80,8 @@ def map_block_batch(ordered_values: np.ndarray, config: ScenarioConfig, law: Llr
     k_max = config.K
     y = np.asarray(ordered_values, dtype=float)[:, :k_max]
     total = y.sum(axis=1)
-    corr = (config.M - k_max) * np.asarray(correction_term(np.abs(y[:, -1]), law), dtype=float)
+    envelope = envelope_for(law)
+    a = np.abs(y[:, -1])
+    corr = (config.M - k_max) * envelope.term(a, envelope.cell(a))
     return (total + corr >= config.log_prior_ratio()).astype(np.int8)
 

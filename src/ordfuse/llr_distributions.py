@@ -25,6 +25,8 @@ _ZERO_LIMIT = 1e-8  # below this the central-mass ratio is at its analytic limit
 # correction-envelope grid: points out to the 1e-6 quantile, then beyond it
 _ENVELOPE_DENSE_POINTS = 16384
 _ENVELOPE_TAIL_POINTS = 4096
+# largest midpoint miss of a correction-table cell that is not evaluated exactly
+_TABLE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -190,13 +192,37 @@ def correction_term(y, law: LlrLaw):
     return out if out.ndim else float(out)
 
 
-class CorrectionEnvelope:
-    """Running extrema of the correction term over [0, y].
+def _correction_slope(a, law: LlrLaw):
+    """Derivative of `correction_term` at a > 0: the sum over hypotheses of
+    +-(f(a) + f(-a)) / Pr(|Y| <= a), f the LLR density, + for H1."""
+    out = np.zeros_like(a)
+    for hyp, sign in ((Hypothesis.H1, 1.0), (Hypothesis.H0, -1.0)):
+        density = llr_pdf(a, hyp, law) + llr_pdf(-a, hyp, law)
+        out += sign * density * np.exp(-_log_central_mass(a, hyp, law))
+    return out
 
-    Precomputes the term on a dense grid with prefix min/max arrays so that
-    per-query grid extrema reduce to a searchsorted; callers combine them
-    with exact evaluations at their own query points. Extrema over nested
-    intervals are monotone, which the prefix arrays realize by construction.
+
+class CorrectionEnvelope:
+    """The correction term on a dense grid: its running extrema over [0, a]
+    and a cubic table of the term itself.
+
+    The grid is three uniform pieces, so the cell holding a report is
+    computed arithmetically (`cell`), and both the prefix min/max arrays and
+    the table are read at that cell. Extrema over nested intervals are
+    monotone, which the prefix arrays realize by construction; callers
+    combine them with the term at their own query points.
+
+    Each table cell holds the cubic Hermite interpolant of the term from its
+    values and exact derivatives at the cell's two nodes. At build time each
+    cell is checked at its midpoint against `correction_term`. Reports in a
+    flagged cell get `correction_term` itself; a cell is flagged when
+    - its midpoint misses by more than `_TABLE_TOLERANCE`: next to the
+      support kink at |y| = shift, or where the term is noisy;
+    - it starts below `_ZERO_LIMIT`, where the term steps from its analytic
+      zero to the computed value;
+    - it lies past the last node.
+    So the table caches the one implementation of the term and follows any
+    change to it.
     """
 
     def __init__(self, law: LlrLaw):
@@ -208,21 +234,78 @@ class CorrectionEnvelope:
         # half the dense budget there and the rest out to the 1e-6 quantile
         y_core = min(4.0 * law.shift, y_mid)
         half = _ENVELOPE_DENSE_POINTS // 2
-        grid = np.concatenate([
-            np.linspace(0.0, y_core, half, endpoint=False),
-            np.linspace(y_core, y_mid, _ENVELOPE_DENSE_POINTS - half, endpoint=False),
-            np.linspace(y_mid, y_hi, _ENVELOPE_TAIL_POINTS),
-        ])
+        pieces = (  # (start, stop, nodes, endpoint) of each linspace
+            (0.0, y_core, half, False),
+            (y_core, y_mid, _ENVELOPE_DENSE_POINTS - half, False),
+            (y_mid, y_hi, _ENVELOPE_TAIL_POINTS, True),
+        )
+        grid = np.concatenate([np.linspace(lo, hi, n, endpoint=end) for lo, hi, n, end in pieces])
         values = np.asarray(correction_term(grid, law), dtype=float)
+        self._law = law
         self._grid = grid
         self._prefix_min = np.minimum.accumulate(values)
         self._prefix_max = np.maximum.accumulate(values)
+        # where each piece starts, its first node and its nodes per unit of
+        # |y|; a piece of zero length is never selected by `cell`
+        starts, _, counts, _ = zip(*pieces)
+        self._piece_start = np.array(starts)
+        self._piece_first = np.cumsum((0,) + counts[:-1])
+        self._piece_density = np.array(
+            [(n - end) / (hi - lo) if hi > lo else 0.0 for lo, hi, n, end in pieces]
+        )
+        # the last cell has no end node: NaN compares false with every a
+        self._cell_end = np.append(grid[1:], np.nan)
 
-    def prefix_extrema(self, a: np.ndarray):
-        """(min, max) of the term over the grid points in [0, a], elementwise."""
-        idx = np.searchsorted(self._grid, a, side="right") - 1
-        idx = np.clip(idx, 0, len(self._grid) - 1)
-        return self._prefix_min[idx], self._prefix_max[idx]
+        width = np.diff(grid)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slope = _correction_slope(grid, law)
+            secant = np.diff(values) / width
+            d0, d1 = slope[:-1], slope[1:]
+            # coefficients of powers of (a - node), one row per power so
+            # that each is one gather
+            self._cubic = np.zeros((4, grid.size))
+            self._cubic[:, :-1] = (
+                values[:-1],
+                d0,
+                (3.0 * secant - 2.0 * d0 - d1) / width,
+                (d0 + d1 - 2.0 * secant) / width**2,
+            )
+            mid = grid[:-1] + 0.5 * width
+            miss = ~(
+                np.abs(self._cubic_at(mid, np.arange(grid.size - 1)) - correction_term(mid, law))
+                <= _TABLE_TOLERANCE
+            )
+        self._exact = np.append(miss | (grid[:-1] < _ZERO_LIMIT), True)
+        self._cubic[:, self._exact] = 0.0
+
+    def cell(self, a) -> np.ndarray:
+        """Index of the grid cell holding each a >= 0: the last node <= a,
+        `searchsorted(grid, a, "right") - 1`, from the piece arithmetic and
+        one correction step each way."""
+        a = np.asarray(a, dtype=float)
+        piece = (a >= self._piece_start[1]).astype(np.intp) + (a >= self._piece_start[2])
+        guess = self._piece_first[piece] + (a - self._piece_start[piece]) * self._piece_density[piece]
+        idx = np.minimum(guess, self._grid.size - 1).astype(np.intp)
+        idx -= self._grid[idx] > a
+        idx += self._cell_end[idx] <= a
+        return idx
+
+    def prefix_extrema(self, cell: np.ndarray):
+        """(min, max) of the term over grid nodes 0..cell, elementwise."""
+        return self._prefix_min[cell], self._prefix_max[cell]
+
+    def term(self, a: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """The correction term at each a >= 0 in `cell`: the cubic, or the
+        exact term where the cell is flagged."""
+        out = np.asarray(self._cubic_at(a, cell))
+        exact = self._exact[cell]
+        out[exact] = correction_term(a[exact], self._law)
+        return out
+
+    def _cubic_at(self, a, cell):
+        u = a - self._grid[cell]
+        c0, c1, c2, c3 = (row[cell] for row in self._cubic)
+        return c0 + u * (c1 + u * (c2 + u * c3))
 
 
 @functools.lru_cache(maxsize=32)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ordfuse import bs_thresholds, llr_distributions
+from ordfuse import llr_distributions
 from ordfuse.bs_thresholds import _stage_extrema, decide_batch, map_block_batch
 from ordfuse.defaults import default_scenario
 from ordfuse.llr_distributions import correction_term, envelope_for, law_for_sensor
@@ -133,7 +133,8 @@ class TestThresholdsAtStage:
         rho_min, rho_max, point = _stage_extrema(absy, law)
 
         env_min, env_max = envelope_extrema(absy, law)
-        ref_point = np.asarray(correction_term(absy, law), dtype=float)
+        envelope = envelope_for(law)
+        ref_point = envelope.term(absy, envelope.cell(absy))
         suf_min = np.minimum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
         suf_max = np.maximum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
         assert np.array_equal(rho_min, np.minimum(env_min, suf_min))
@@ -190,20 +191,23 @@ class TestRunDetector:
             assert one_declared[0] == declared[i]
             assert one_stage[0] == stage[i]
 
-    def test_correction_term_evaluated_once_per_report(self, scenario, law, monkeypatch):
-        envelope_for(law)  # build the cached envelope before counting
+    def test_correction_term_evaluated_only_in_flagged_cells(self, scenario, law, monkeypatch):
+        envelope = envelope_for(law)  # build the cached envelope before counting
         points = []
 
         def counting(y, law_):
             points.append(np.size(y))
             return correction_term(y, law_)
 
-        # the envelope reaches the term through its own module, so count both
-        monkeypatch.setattr(bs_thresholds, "correction_term", counting)
         monkeypatch.setattr(llr_distributions, "correction_term", counting)
         _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(31), 300)
         decide_batch(ordered, scenario, law)
-        assert sum(points) == 300 * scenario.K
+        absy = np.abs(ordered[:, : scenario.K])
+        flagged = int(np.count_nonzero(envelope._exact[envelope.cell(absy)]))
+        # the reports next to the support kink; a table whose cells failed
+        # their midpoint check would send every report to the exact term
+        assert 0 < flagged <= 0.05 * absy.size
+        assert sum(points) == flagged
 
 
 class TestFragileRegimes:
@@ -216,13 +220,16 @@ class TestFragileRegimes:
             {"N": 1},
             {"sigma2_s": (0.05,) * 10},
             {"sigma2_s": (50.0,) * 10},
+            {"pi0": 0.0},
             {"pi0": 0.01},
             {"pi0": 0.99},
+            {"pi0": 1.0},
             {"M": 8, "K": 8},
             {"K": 1},
             {"M": 100, "K": 12, "tau": 0.05},
         ],
-        ids=["N1", "snr-low", "snr-high", "pi0-low", "pi0-high", "M8K8", "K1", "M100K12"],
+        ids=["N1", "snr-low", "snr-high", "pi0-zero", "pi0-low", "pi0-high", "pi0-one", "M8K8", "K1",
+             "M100K12"],
     )
     def test_full_depth_agrees_with_block_map(self, overrides):
         cfg = default_scenario(**overrides)

@@ -10,6 +10,7 @@ from ordfuse.llr_distributions import (
     _half_mass_magnitude,
     central_mass,
     correction_term,
+    envelope_for,
     exceed_prob,
     llr_cdf,
     llr_pdf,
@@ -252,3 +253,40 @@ class TestCorrectionExtrema:
         assert lo.shape == a.shape
         assert np.all(lo <= 0.0) and np.all(hi >= lo)
 
+
+def _searchsorted_cell(grid, a):
+    return np.clip(np.searchsorted(grid, a, side="right") - 1, 0, grid.size - 1)
+
+
+INDEX_LAWS = [
+    pytest.param(LlrLaw.energy(dof, 2.0), id=f"energy-N{dof}") for dof in (1, 3, 10)
+] + [pytest.param(LlrLaw.shift_in_mean(3, -1.0, 1.0, 1.0), id="shift")]
+
+TABLE_LAWS = [
+    pytest.param(LlrLaw.energy(dof, snr), id=f"energy-N{dof}-snr{snr:g}")
+    for dof in (1, 2, 3, 5, 10) for snr in (0.1, 1.0, 2.0, 10.0)
+] + [pytest.param(LlrLaw.shift_in_mean(3, -1.0, 1.0, 1.0), id="shift")]
+
+
+class TestCorrectionEnvelope:
+    @pytest.mark.parametrize("law", INDEX_LAWS)
+    def test_cell_equals_searchsorted(self, law):
+        # the shift law's middle grid piece has zero length: its nodes repeat
+        envelope = envelope_for(law)
+        grid = envelope._grid
+        a = np.concatenate([
+            grid,
+            np.nextafter(grid, -np.inf)[1:],
+            np.nextafter(grid, np.inf),
+            [0.0, 1.5 * grid[-1], 1e300, np.inf],
+        ])
+        assert np.array_equal(envelope.cell(a), _searchsorted_cell(grid, a))
+
+    @pytest.mark.parametrize("law", TABLE_LAWS)
+    def test_table_follows_exact_term(self, law):
+        envelope = envelope_for(law)
+        top = 1.1 * envelope._grid[-1]
+        a = np.concatenate([np.linspace(0.0, top, 40_001), np.logspace(-6.0, math.log10(top), 4_000)])
+        got = envelope.term(a, envelope.cell(a))
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - correction_term(a, law))) <= 1e-10
