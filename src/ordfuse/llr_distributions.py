@@ -231,8 +231,9 @@ class CorrectionEnvelope:
         y_mid = max(abs(lo_mid), abs(hi_mid), 2.0 * law.shift)
         y_hi = max(abs(hi_far), 4.0 * law.shift, y_mid * 1.5)
         # the term's structure sits within a few shifts of the origin; spend
-        # half the dense budget there and the rest out to the 1e-6 quantile
-        y_core = min(4.0 * law.shift, y_mid)
+        # half the dense budget there and the rest out to the 1e-6 quantile,
+        # which keeps at least half of [0, y_mid]
+        y_core = min(4.0 * law.shift, 0.5 * y_mid)
         half = _ENVELOPE_DENSE_POINTS // 2
         pieces = (  # (start, stop, nodes, endpoint) of each linspace
             (0.0, y_core, half, False),
@@ -246,13 +247,11 @@ class CorrectionEnvelope:
         self._prefix_min = np.minimum.accumulate(values)
         self._prefix_max = np.maximum.accumulate(values)
         # where each piece starts, its first node and its nodes per unit of
-        # |y|; a piece of zero length is never selected by `cell`
+        # |y|; every piece has positive length, as shift > 0
         starts, _, counts, _ = zip(*pieces)
         self._piece_start = np.array(starts)
         self._piece_first = np.cumsum((0,) + counts[:-1])
-        self._piece_density = np.array(
-            [(n - end) / (hi - lo) if hi > lo else 0.0 for lo, hi, n, end in pieces]
-        )
+        self._piece_density = np.array([(n - end) / (hi - lo) for lo, hi, n, end in pieces])
         # the last cell has no end node: NaN compares false with every a
         self._cell_end = np.append(grid[1:], np.nan)
 

@@ -1,8 +1,8 @@
 """The benchmark's traced layers match the package: every function that
 `bench/tracing.py` traces exists, every layer a workload declares is traced,
-and band-mc's commands, at a small trial count, reach every layer band-mc
-declares. A change that renames a traced function, or stops calling one,
-fails here and not only in a traced benchmark run. The bench files are
+and each workload's commands, at a small trial count, reach every layer the
+workload declares. A change that renames a traced function, or stops calling
+one, fails here and not only in a traced benchmark run. The bench files are
 imported, never changed."""
 
 import importlib
@@ -47,23 +47,21 @@ def test_declared_layers_are_traced(workload):
     assert not untraced, f"{workload} declares untraced layers {sorted(untraced)}"
 
 
-# Runs band-mc's commands under the tracer in a fresh process, so the
+# Runs a workload's commands under the tracer in a fresh process, so the
 # wrappers `Tracer.install` puts into the package's namespaces stay there.
 _TRACED_RUN = textwrap.dedent("""
-    import json, sys
+    import json, re, sys
     from pathlib import Path
-    root, out, trials = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
+    root, name, out, trials = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3]), int(sys.argv[4])
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import ordfuse.cli as cli
     import tracing, workloads
-    band = workloads.BAND_MC
-    old = f"trials = {workloads.BAND_TRIALS}"
-    for name, text in band.configs.items():
-        assert old in text, name
-        (out / name).write_text(text.replace(old, f"trials = {trials}"))
+    workload = workloads.WORKLOADS[name]
+    for config, text in workload.configs.items():
+        (out / config).write_text(re.sub(r"trials = [0-9]+", f"trials = {trials}", text))
     tracer = tracing.Tracer()
     tracer.install()
-    for command in band.commands:
+    for command in workload.commands:
         argv = [a.replace("{dir}", str(out)).replace("{seed}", "1") for a in command.argv]
         assert cli.main(argv) == 0, argv
     record = tracer.record()
@@ -72,14 +70,22 @@ _TRACED_RUN = textwrap.dedent("""
 """)
 
 
-def test_band_mc_reaches_every_declared_layer(tmp_path):
+def _assert_reaches_every_declared_layer(name, tmp_path):
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUN, str(ROOT), str(tmp_path), str(SMALL_TRIALS)],
+        [sys.executable, "-c", _TRACED_RUN, str(ROOT), name, str(tmp_path), str(SMALL_TRIALS)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["missing"] == []
-    unreached = set(workloads.BAND_MC.layers) - set(result["called"])
-    assert not unreached, f"band-mc no longer reaches {sorted(unreached)}"
+    unreached = set(workloads.WORKLOADS[name].layers) - set(result["called"])
+    assert not unreached, f"{name} no longer reaches {sorted(unreached)}"
+
+
+def test_band_mc_reaches_every_declared_layer(tmp_path):
+    _assert_reaches_every_declared_layer(workloads.BAND_MC.name, tmp_path)
+
+
+def test_dp_reaches_every_declared_layer(tmp_path):
+    _assert_reaches_every_declared_layer(workloads.DP.name, tmp_path)

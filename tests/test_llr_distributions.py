@@ -271,7 +271,6 @@ TABLE_LAWS = [
 class TestCorrectionEnvelope:
     @pytest.mark.parametrize("law", INDEX_LAWS)
     def test_cell_equals_searchsorted(self, law):
-        # the shift law's middle grid piece has zero length: its nodes repeat
         envelope = envelope_for(law)
         grid = envelope._grid
         a = np.concatenate([
@@ -290,3 +289,9 @@ class TestCorrectionEnvelope:
         got = envelope.term(a, envelope.cell(a))
         assert got[0] == 0.0
         assert np.max(np.abs(got - correction_term(a, law))) <= 1e-10
+
+    @pytest.mark.parametrize("law", TABLE_LAWS)
+    def test_no_cell_has_zero_width(self, law):
+        # the dense core stops at half the 1e-6 quantile even where 4 shifts
+        # reach past it (shift law, energy N=10 at SNR 0.1)
+        assert np.all(np.diff(envelope_for(law)._grid) > 0.0)

@@ -25,6 +25,38 @@ def _random_ensemble(m, rng):
     return SensorEnsemble(tuple(LlrLaw.energy(3, g) for g in rng.uniform(0.5, 4.0, m)))
 
 
+# the non-identical fixtures of the solver tests and of the dp benchmark
+M6 = SensorEnsemble.from_config(default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5)))
+M16 = SensorEnsemble.from_config(
+    default_scenario(M=16, sigma2_s=tuple(round(1.0 + 0.2 * i, 1) for i in range(16)))
+)
+
+
+def _textbook_coeffs(p, q, m_max):
+    """The coefficient recurrence one coefficient at a time, each sensor
+    updating only the coefficients up to its own degree."""
+    c = np.zeros((m_max + 1,) + p.shape[1:])
+    c[0] = 1.0
+    for v in range(p.shape[0]):
+        for j in range(min(v + 1, m_max), 0, -1):
+            c[j] = c[j] * q[v] + c[j - 1] * p[v]
+        c[0] = c[0] * q[v]
+    return c
+
+
+def _leave_one_out_pdfs(k_max, y, hyp, ensemble):
+    """Rank densities from one recurrence per left-out sensor, each over
+    the other M - 1 sensors from scratch."""
+    y = np.asarray(y, dtype=float)
+    f = np.stack([np.asarray(llr_pdf(y, hyp, law), dtype=float) for law in ensemble.laws])
+    b = np.stack([np.asarray(exceed_prob(y, hyp, law), dtype=float) for law in ensemble.laws])
+    out = np.zeros((k_max,) + y.shape)
+    for r in range(ensemble.m):
+        keep = [v for v in range(ensemble.m) if v != r]
+        out = out + f[r] * weighted_subset_coeffs(b[keep], 1.0 - b[keep], k_max - 1)
+    return out
+
+
 def _brute_subset_sum(m_sub, hyp, hi_arg, lo_arg, excluded, ensemble):
     included = [v for v in range(ensemble.m) if v not in excluded]
     total = 0.0
@@ -74,6 +106,20 @@ class TestSubsetWeightSum:
         q = 1.0 - p
         coeffs = weighted_subset_coeffs(p, q, 6)
         assert coeffs.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("m_max", [0, 1, 3, 7, 12])
+    def test_recurrence_bit_identical_to_textbook(self, rng, m_max):
+        # updating all coefficients at once leaves those above the degree +0
+        p = rng.uniform(0.0, 1.0, (9, 40))
+        p[:, :3] = (0.0, 1.0, 0.5)
+        for pv, qv in ((p, 1.0 - p), (p[:, 0], 1.0 - p[:, 0])):
+            assert np.array_equal(weighted_subset_coeffs(pv, qv, m_max), _textbook_coeffs(pv, qv, m_max))
+            for split in (0, 1, 4, 9):
+                head = weighted_subset_coeffs(pv[:split], qv[:split], m_max)
+                kept = head.copy()
+                both = weighted_subset_coeffs(pv[split:], qv[split:], m_max, head)
+                assert np.array_equal(both, _textbook_coeffs(pv, qv, m_max))
+                assert np.array_equal(head, kept)
 
 
 class TestRankedPdf:
@@ -141,10 +187,12 @@ class TestRankedPdf:
 
 
 class TestRankedPdfs:
-    @pytest.mark.parametrize("identical", [True, False], ids=["identical", "non-identical"])
-    def test_rows_independent_of_depth(self, ensemble, identical):
+    @pytest.mark.parametrize("kind", ["identical", "non-identical", "M16"])
+    def test_rows_independent_of_depth(self, ensemble, kind):
         # row m - 1 is bit-identical whether the recurrence stops at rank m or K
-        ens = ensemble if identical else _random_ensemble(10, np.random.default_rng(73))
+        ens = {"identical": ensemble,
+               "non-identical": _random_ensemble(10, np.random.default_rng(73)),
+               "M16": M16}[kind]
         ys = np.linspace(-1.6, 9.0, 301)
         for hyp in (H0, H1):
             full = ranked_pdfs(8, ys, hyp, ens)
@@ -152,6 +200,36 @@ class TestRankedPdfs:
             for m in range(1, 9):
                 assert np.array_equal(full[m - 1], ranked_pdfs(m, ys, hyp, ens)[m - 1])
                 assert np.array_equal(full[m - 1], ranked_pdf(m, ys, hyp, ens))
+
+    @pytest.mark.parametrize("ens", [M6, M16], ids=["M6", "M16"])
+    def test_shared_prefix_bit_identical_to_leave_one_out(self, ens):
+        ys = np.concatenate([np.linspace(-2.1, 25.0, 257), [0.0, 1e-9, 60.0]])
+        for hyp in (H0, H1):
+            oracle = _leave_one_out_pdfs(ens.m, ys, hyp, ens)
+            assert np.array_equal(ranked_pdfs(ens.m, ys, hyp, ens), oracle)
+            for m in range(1, ens.m + 1):
+                assert np.array_equal(ranked_pdf(m, ys, hyp, ens), oracle[m - 1])
+            for y in (-1.3, 0.0, 0.8, 4.5):
+                oracle = _leave_one_out_pdfs(ens.m, y, hyp, ens)
+                assert np.array_equal(ranked_pdfs(ens.m, y, hyp, ens), oracle)
+                for m in range(1, ens.m + 1):
+                    got = ranked_pdf(m, y, hyp, ens)
+                    assert type(got) is float and got == oracle[m - 1]
+
+    def test_rank_sum_identity_hundred_sensors(self):
+        # M up to 100: the ranks of one slot partition the M sensors. The
+        # rows of one depth-100 call are the rank densities (checked bit for
+        # bit at a few ranks); 100 separate `ranked_pdf` calls take seconds.
+        ens = SensorEnsemble.from_config(
+            default_scenario(M=100, sigma2_s=tuple(np.linspace(1.0, 4.0, 100)))
+        )
+        ys = np.linspace(-1.9, 20.0, 36)
+        for hyp in (H0, H1):
+            rows = ranked_pdfs(100, ys, hyp, ens)
+            expected = sum(llr_pdf(ys, hyp, law) for law in ens.laws)
+            np.testing.assert_allclose(rows.sum(axis=0), expected, rtol=1e-12, atol=0.0)
+            for m in (1, 8, 100):
+                assert np.array_equal(ranked_pdf(m, ys, hyp, ens), rows[m - 1])
 
     def test_scalar_point(self, ensemble):
         rows = ranked_pdfs(3, 1.2, H1, ensemble)
