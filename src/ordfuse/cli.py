@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .defaults import DEFAULT_SEED, DEFAULT_TRIALS, default_fading, default_scenario
@@ -104,8 +104,6 @@ def _parse_enum(enum_cls):
 
 
 _PROBED_VS_K_M = 100  # sensors in every scenario of fig-probed-vs-K
-_M_SWEEP_PRESETS = ("fig-perror-vs-M", "fig-throughput-vs-M", "fig-probed-vs-M",
-                    "fig-throughput-compare", "fig-fading-probed")
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def _check_runnable(bundle: ConfigBundle) -> None:
     or cost. Other presets and `solve` do not read the detector.
     """
     preset = bundle.experiment.preset
-    if preset in _M_SWEEP_PRESETS:
+    if _PRESETS[preset].axis == "M":
         try:  # the rule every M sweep applies
             bundle.scenario.with_sensors(bundle.scenario.M)
         except ValueError as exc:
@@ -311,114 +309,92 @@ def _write_meta(path: Path, bundle: ConfigBundle, csv_path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Presets: each maps the bundle to the (header, rows) of its CSV
+# Presets: each states its sweep axis, that axis's default values and its
+# columns once, and maps the bundle and the axis values to the (header, rows)
+# of its CSV
 
-_M_VALUES = (4, 6, 8, 10, 12, 16, 20)
 
-
-def _preset_perror_vs_m(bundle: ConfigBundle):
+def _preset_perror_vs_m(bundle: ConfigBundle, m_values):
     spec = bundle.experiment
-    m_values = spec.m_values or _M_VALUES
-    cm = CostModel.error_min(c=bundle.cost.c)
-    bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed)
-    dp = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm)
-    rows = []
-    for (m, met_bs), (_, met_dp) in zip(bs, dp):
-        se_bs = (met_bs.p_error * (1 - met_bs.p_error) / spec.trials) ** 0.5
-        se_dp = (met_dp.p_error * (1 - met_dp.p_error) / spec.trials) ** 0.5
-        rows.append([m, met_bs.p_error, met_dp.p_error, se_bs, se_dp, spec.trials, spec.seed])
+    columns = [("bs", None), ("dp", CostModel.error_min(c=bundle.cost.c))]
+    rows = [
+        [m, bs.p_error, dp.p_error, bs.p_error_stderr, dp.p_error_stderr, spec.trials, spec.seed]
+        for m, (bs, dp) in sweep("M", m_values, bundle.scenario, columns, spec.trials, spec.seed)
+    ]
     return ["M", "p_error_bs", "p_error_dp", "stderr_bs", "stderr_dp", "trials", "seed"], rows
 
 
-def _preset_throughput_vs_m(bundle: ConfigBundle):
+def _preset_throughput_vs_m(bundle: ConfigBundle, m_values):
     spec = bundle.experiment
-    rows = []
-    for omega in spec.omega_values or (0.5, 0.999):
-        cm = CostModel.throughput(omega=omega, c=bundle.cost.c)
-        for m, met in sweep("M", spec.m_values or _M_VALUES, bundle.scenario, "dp",
-                            spec.trials, spec.seed, cost_model=cm):
-            rows.append([
-                m, omega,
-                met.norm_throughput_primary, met.norm_throughput_secondary,
-                spec.trials, spec.seed,
-            ])
+    omegas = spec.omega_values or (0.5, 0.999)
+    columns = [("dp", CostModel.throughput(omega=omega, c=bundle.cost.c)) for omega in omegas]
+    results = sweep("M", m_values, bundle.scenario, columns, spec.trials, spec.seed)
+    rows = [  # omega is the outer loop
+        [m, omega, met[i].norm_throughput_primary, met[i].norm_throughput_secondary,
+         spec.trials, spec.seed]
+        for i, omega in enumerate(omegas)
+        for m, met in results
+    ]
     return ["M", "omega", "thr_primary", "thr_secondary", "trials", "seed"], rows
 
 
-def _preset_probed_vs_m(bundle: ConfigBundle):
+def _preset_probed_vs_m(bundle: ConfigBundle, m_values):
     spec = bundle.experiment
-    m_values = spec.m_values or _M_VALUES
-    cm_err = CostModel.error_min(c=bundle.cost.c)
-    cm_thr = CostModel.throughput(c=bundle.cost.c)
-    bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed)
-    dp_e = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_err)
-    dp_t = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_thr)
+    c = bundle.cost.c
+    columns = [("bs", None), ("dp", CostModel.error_min(c=c)), ("dp", CostModel.throughput(c=c))]
     rows = [
-        [m, a.avg_stage, b.avg_stage, c.avg_stage, spec.trials, spec.seed]
-        for (m, a), (_, b), (_, c) in zip(bs, dp_e, dp_t)
+        [m, *(met.avg_stage for met in mets), spec.trials, spec.seed]
+        for m, mets in sweep("M", m_values, bundle.scenario, columns, spec.trials, spec.seed)
     ]
     return ["M", "probed_bs", "probed_dp_error", "probed_dp_throughput", "trials", "seed"], rows
 
 
-def _preset_throughput_compare(bundle: ConfigBundle):
+def _preset_throughput_compare(bundle: ConfigBundle, m_values):
     spec = bundle.experiment
-    m_values = spec.m_values or _M_VALUES
     omega = 0.5
-    cm_err = CostModel.error_min(c=bundle.cost.c)
     cm_thr = CostModel.throughput(omega=omega, c=bundle.cost.c)
-    bs = sweep("M", m_values, bundle.scenario, "bs", spec.trials, spec.seed, cost_model=cm_thr)
-    dp_e = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_err)
-    dp_t = sweep("M", m_values, bundle.scenario, "dp", spec.trials, spec.seed, cost_model=cm_thr)
-
-    def ws(met):
-        return omega * met.norm_throughput_primary + (1 - omega) * met.norm_throughput_secondary
-
+    columns = [("bs", cm_thr), ("dp", CostModel.error_min(c=bundle.cost.c)), ("dp", cm_thr)]
     rows = [
-        [m, ws(a), ws(b), ws(c), spec.trials, spec.seed]
-        for (m, a), (_, b), (_, c) in zip(bs, dp_e, dp_t)
+        [m, *(omega * met.norm_throughput_primary + (1 - omega) * met.norm_throughput_secondary
+              for met in mets), spec.trials, spec.seed]
+        for m, mets in sweep("M", m_values, bundle.scenario, columns, spec.trials, spec.seed)
     ]
     return ["M", "ws_bs", "ws_dp_error", "ws_dp_throughput", "trials", "seed"], rows
 
 
-def _preset_probed_vs_k(bundle: ConfigBundle):
+def _preset_probed_vs_k(bundle: ConfigBundle, k_values):
     spec = bundle.experiment
-    k_values = spec.k_values or (2, 4, 6, 8, 10, 12)
     m = _PROBED_VS_K_M
-    base = default_scenario(M=m, K=bundle.scenario.K)
-    low = replace(base, sigma2_s=(2.0,) * m)
-    high = replace(base, sigma2_s=(50.0,) * m)
-    shift = replace(
-        base,
-        measurement_model=MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
-        mu0=(-1.0,) * m,
-        mu1=(1.0,) * m,
+    base = default_scenario(M=m)  # the K axis sets K and refits the timing
+    scenarios = (
+        replace(base, sigma2_s=(2.0,) * m),
+        replace(base, sigma2_s=(50.0,) * m),
+        replace(base, measurement_model=MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
+                mu0=(-1.0,) * m, mu1=(1.0,) * m),
     )
-    res_low = sweep("K", k_values, low, "bs", spec.trials, spec.seed)
-    res_high = sweep("K", k_values, high, "bs", spec.trials, spec.seed)
-    res_shift = sweep("K", k_values, shift, "bs", spec.trials, spec.seed)
-    rows = [
-        [k, a.avg_stage, b.avg_stage, c.avg_stage, spec.trials, spec.seed]
-        for (k, a), (_, b), (_, c) in zip(res_low, res_high, res_shift)
+    probed = [
+        [met.avg_stage for _, (met,) in sweep("K", k_values, cfg, [("bs", None)],
+                                               spec.trials, spec.seed)]
+        for cfg in scenarios
     ]
+    rows = [[k, *stages, spec.trials, spec.seed] for k, *stages in zip(k_values, *probed)]
     return ["K", "probed_low_snr", "probed_high_snr", "probed_shift_in_mean", "trials", "seed"], rows
 
 
-def _preset_fading_probed(bundle: ConfigBundle):
+def _preset_fading_probed(bundle: ConfigBundle, m_values):
     spec = bundle.experiment
     cm = CostModel.error_min(c=bundle.cost.c)
     fading = bundle.fading or default_fading()
     rows = []
-    for m in spec.m_values or (8, 10, 12, 16, 20):
+    for m, (perfect,) in sweep("M", m_values, bundle.scenario, [("dp", cm)], spec.trials, spec.seed):
         cfg = bundle.scenario.with_sensors(m)
-        met_fade = run_monte_carlo_fading(cfg, fading, "dp", spec.trials, spec.seed, cost_model=cm)
-        det = make_detector("dp", cfg, cm)
-        met_perfect = run_monte_carlo(cfg, det, spec.trials, spec.seed, cost_model=cm)
+        fade = run_monte_carlo_fading(cfg, fading, "dp", spec.trials, spec.seed, cost_model=cm)
         rows.append([
             m,
-            cfg.sensing_time(met_fade.avg_stage),
-            cfg.sensing_time(met_perfect.avg_stage),
-            met_fade.avg_stage,
-            met_perfect.avg_stage,
+            cfg.sensing_time(fade.avg_stage),
+            cfg.sensing_time(perfect.avg_stage),
+            fade.avg_stage,
+            perfect.avg_stage,
             spec.trials, spec.seed,
         ])
     header = ["M", "sensing_time_fading", "sensing_time_perfect",
@@ -426,10 +402,10 @@ def _preset_fading_probed(bundle: ConfigBundle):
     return header, rows
 
 
-def _preset_thresholds_vs_stage(bundle: ConfigBundle):
+def _preset_thresholds_vs_stage(bundle: ConfigBundle, c_values):
     config = bundle.scenario
     rows = []
-    for c in bundle.experiment.c_values or (0.0, 0.0001, 0.001):
+    for c in c_values:
         policy = solve_backward(config, CostModel.throughput(c=c))
         for k in range(1, config.K + 1):
             lo = float(policy.pi_low[k - 1])
@@ -442,19 +418,18 @@ def _preset_thresholds_vs_stage(bundle: ConfigBundle):
     return ["c", "stage", "pi_low", "pi_high", "llr_equiv_declare_busy", "llr_equiv_declare_free"], rows
 
 
-def _preset_sensing_vs_c(bundle: ConfigBundle):
+def _preset_sensing_vs_c(bundle: ConfigBundle, c_values):
     spec = bundle.experiment
-    c_values = spec.c_values or (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
     config = bundle.scenario
+    columns = [("dp", CostModel.error_min())]
     rows = [
         [c, config.sensing_time(met.avg_stage), met.p_error, spec.trials, spec.seed]
-        for c, met in sweep("c", c_values, config, "dp", spec.trials, spec.seed,
-                            cost_model=CostModel.error_min())
+        for c, (met,) in sweep("c", c_values, config, columns, spec.trials, spec.seed)
     ]
     return ["c", "avg_sensing_time", "p_error", "trials", "seed"], rows
 
 
-def _preset_custom(bundle: ConfigBundle):
+def _preset_custom(bundle: ConfigBundle, _values):
     spec = bundle.experiment
     config = bundle.scenario
     kind = spec.detector
@@ -470,24 +445,36 @@ def _preset_custom(bundle: ConfigBundle):
     return header, rows
 
 
-_PRESET_RUNNERS = {
-    "fig-throughput-vs-M": _preset_throughput_vs_m,
-    "fig-perror-vs-M": _preset_perror_vs_m,
-    "fig-probed-vs-M": _preset_probed_vs_m,
-    "fig-throughput-compare": _preset_throughput_compare,
-    "fig-probed-vs-K": _preset_probed_vs_k,
-    "fig-fading-probed": _preset_fading_probed,
-    "fig-thresholds-vs-stage": _preset_thresholds_vs_stage,
-    "fig-sensing-vs-c": _preset_sensing_vs_c,
-    "custom": _preset_custom,
+class _Preset(NamedTuple):
+    axis: str | None  # "M", "K", "c", or None for a single run
+    defaults: tuple  # the axis values when the experiment lists none
+    run: Callable  # (bundle, axis values) -> (header, rows)
+
+    def values(self, spec: ExperimentSpec) -> tuple:
+        listed = {"M": spec.m_values, "K": spec.k_values, "c": spec.c_values}.get(self.axis)
+        return listed or self.defaults
+
+
+_M_VALUES = (4, 6, 8, 10, 12, 16, 20)
+_PRESETS = {
+    "fig-throughput-vs-M": _Preset("M", _M_VALUES, _preset_throughput_vs_m),
+    "fig-perror-vs-M": _Preset("M", _M_VALUES, _preset_perror_vs_m),
+    "fig-probed-vs-M": _Preset("M", _M_VALUES, _preset_probed_vs_m),
+    "fig-throughput-compare": _Preset("M", _M_VALUES, _preset_throughput_compare),
+    "fig-probed-vs-K": _Preset("K", (2, 4, 6, 8, 10, 12), _preset_probed_vs_k),
+    "fig-fading-probed": _Preset("M", (8, 10, 12, 16, 20), _preset_fading_probed),
+    "fig-thresholds-vs-stage": _Preset("c", (0.0, 0.0001, 0.001), _preset_thresholds_vs_stage),
+    "fig-sensing-vs-c": _Preset("c", (0.0, 1e-5, 1e-4, 1e-3, 1e-2), _preset_sensing_vs_c),
+    "custom": _Preset(None, (), _preset_custom),
 }
-PRESET_NAMES = tuple(_PRESET_RUNNERS)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def run_experiment(bundle: ConfigBundle) -> list[Path]:
     """Run the bundle's preset and write `<preset>.csv` plus a metadata sidecar."""
     spec = bundle.experiment
-    header, rows = _PRESET_RUNNERS[spec.preset](bundle)
+    preset = _PRESETS[spec.preset]
+    header, rows = preset.run(bundle, preset.values(spec))
     csv_path = spec.output / f"{spec.preset}.csv"
     _write_csv(csv_path, header, rows)
     meta_path = spec.output / f"{spec.preset}.meta.json"

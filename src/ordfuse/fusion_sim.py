@@ -31,6 +31,11 @@ class SimMetrics:
     stage_histogram: tuple[int, ...]  # index k = slots decided after k reports; 0 = prior-only
     decision_confusion: tuple[tuple[int, int], tuple[int, int]]  # [truth][declared]
 
+    @property
+    def p_error_stderr(self) -> float:
+        """Binomial standard error of `p_error` over the run's slots."""
+        return (self.p_error * (1 - self.p_error) / self.trials) ** 0.5
+
 
 def prior_only(pi0: float):
     """Detector that declares the prior MAP hypothesis without probing (ties go to busy)."""
@@ -93,8 +98,9 @@ def _chunks(config: ScenarioConfig, seed: int, total: int, first_key: int = 0):
 
 
 class _Accumulator:
-    def __init__(self, k_max: int):
+    def __init__(self, k_max: int, cost_model: CostModel | None):
         self.k_max = k_max
+        self.cost_model = cost_model if cost_model is not None else CostModel.throughput()
         self.trials = 0
         self.wrong = 0
         self.stage_sum = 0
@@ -103,10 +109,10 @@ class _Accumulator:
         self.thr_s = 0.0
         self.thr_p = 0.0
 
-    def add(self, truth, declared, stage, config: ScenarioConfig, cost_model: CostModel | None):
+    def add(self, truth, declared, stage, config: ScenarioConfig):
         """Book one chunk. Each slot adds its success probability, the
         expectation of its transmission outcome given truth and decision."""
-        cm = cost_model if cost_model is not None else CostModel.throughput()
+        cm = self.cost_model
         secondary_tx = declared == 0
         clean_s = secondary_tx & (truth == 0)
         collide_s = secondary_tx & (truth == 1)
@@ -138,6 +144,18 @@ class _Accumulator:
         )
 
 
+def _simulate(config: ScenarioConfig, seed: int, total: int, columns, first_key: int = 0) -> None:
+    """Stream each chunk of `total` slots through every (detector,
+    accumulator) column, so all columns see the same slots and no chunk is
+    kept."""
+    if total < 1:
+        raise ValueError("trials must be >= 1")
+    for truth, ordered_values in _chunks(config, seed, total, first_key):
+        for detector, acc in columns:
+            declared, stage = detector(ordered_values)
+            acc.add(truth, declared, stage, config)
+
+
 def run_monte_carlo(
     config: ScenarioConfig,
     detector,
@@ -145,30 +163,26 @@ def run_monte_carlo(
     seed: int,
     cost_model: CostModel | None = None,
 ) -> SimMetrics:
-    """Simulate `trials` slots through `detector` and aggregate the metrics.
+    """Simulate `trials` slots through `detector` and aggregate the metrics:
+    the one-column case of `sweep`'s chunk loop.
 
     `detector` is a callable as `make_detector` returns. `cost_model` only
     feeds the success probabilities and rates of the throughput bookkeeping,
     which books expectations and so draws nothing; defaults are deterministic
     successes.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    acc = _Accumulator(config.K)
-    for truth, ordered_values in _chunks(config, seed, trials):
-        declared, stage = detector(ordered_values)
-        acc.add(truth, declared, stage, config, cost_model)
+    acc = _Accumulator(config.K, cost_model)
+    _simulate(config, seed, trials, [(detector, acc)])
     return acc.metrics()
 
 
 SWEEP_AXES = ("M", "K", "c")
 
 
-def _apply_axis(
-    axis: str, value, config: ScenarioConfig, cost_model: CostModel | None
-) -> tuple[ScenarioConfig, CostModel | None]:
+def _apply_axis(axis: str, value, config: ScenarioConfig) -> ScenarioConfig:
+    """The scenario at one axis value; the c axis leaves it as it is."""
     if axis == "M":
-        return config.with_sensors(int(value)), cost_model
+        return config.with_sensors(int(value))
     if axis == "K":
         k = int(value)
         tau, tau_n = config.tau, config.tau_N
@@ -176,11 +190,9 @@ def _apply_axis(
             # keep the sampling window at two mini-slots and refit the slot
             tau = config.tau_s / (k + 2)
             tau_n = 2.0 * tau
-        return replace(config, K=k, tau=tau, tau_N=tau_n), cost_model
+        return replace(config, K=k, tau=tau, tau_N=tau_n)
     if axis == "c":
-        if cost_model is None:
-            raise ValueError("sweep over c needs a cost model")
-        return config, replace(cost_model, c=float(value))
+        return config
     raise ValueError(f"unknown sweep axis: {axis} (expected one of {SWEEP_AXES})")
 
 
@@ -188,21 +200,29 @@ def sweep(
     axis: str,
     values,
     config: ScenarioConfig,
-    detector_kind: str,
+    columns,
     trials: int,
     seed: int,
-    cost_model: CostModel | None = None,
-) -> list[tuple[float, SimMetrics]]:
-    """One Monte Carlo run per axis value, all sharing the same seed so the
-    slot randomness is common across points."""
-    values = list(values)
-    if not values:
-        raise ValueError("sweep needs at least one value")
+) -> list[tuple[float, tuple[SimMetrics, ...]]]:
+    """At each axis value, one Monte Carlo run per (detector kind, cost
+    model) column, in column order, on slots drawn once for that value and
+    handed to every column; each column equals its own `run_monte_carlo`.
+    Every value uses the same seed, so the slot randomness is common across
+    values. The c axis sets c in every column's cost model."""
+    values, columns = list(values), list(columns)
+    if not values or not columns:
+        raise ValueError("sweep needs at least one value and at least one column")
+    if axis == "c" and any(cost_model is None for _, cost_model in columns):
+        raise ValueError("sweep over c needs a cost model in every column")
     out = []
     for value in values:
-        cfg, cm = _apply_axis(axis, value, config, cost_model)
-        detector = make_detector(detector_kind, cfg, cm)
-        out.append((value, run_monte_carlo(cfg, detector, trials, seed, cm)))
+        cfg = _apply_axis(axis, value, config)
+        runs = []
+        for kind, cost_model in columns:
+            cm = replace(cost_model, c=float(value)) if axis == "c" else cost_model
+            runs.append((make_detector(kind, cfg, cm), _Accumulator(cfg.K, cm)))
+        _simulate(cfg, seed, trials, runs)
+        out.append((value, tuple(acc.metrics() for _, acc in runs)))
     return out
 
 
@@ -232,22 +252,14 @@ def run_monte_carlo_fading(
     slots_per_period = np.full(n_periods, fading.T_c, dtype=np.int64)
     slots_per_period[-1] = trials - fading.T_c * (n_periods - 1)
 
-    acc = _Accumulator(config.K)
-    detectors: dict[int, object] = {}
+    acc = _Accumulator(config.K, cost_model)
     for m_eff in sorted(set(int(c) for c in counts)):
         n_slots = int(slots_per_period[counts == m_eff].sum())
-        if n_slots == 0:
-            continue
         if m_eff == 0:
             cfg = config
             detector = prior_only(config.pi0)
         else:
             cfg = effective_config(config, range(m_eff))
-            if m_eff not in detectors:
-                detectors[m_eff] = make_detector(detector_kind, cfg, cost_model)
-            detector = detectors[m_eff]
-        first_key = (1 + m_eff) * 1_000_000
-        for truth, ordered_values in _chunks(cfg, seed, n_slots, first_key):
-            declared, stage = detector(ordered_values)
-            acc.add(truth, declared, stage, cfg, cost_model)
+            detector = make_detector(detector_kind, cfg, cost_model)
+        _simulate(cfg, seed, n_slots, [(detector, acc)], first_key=(1 + m_eff) * 1_000_000)
     return acc.metrics()

@@ -145,10 +145,10 @@ def test_criterion_5_forced_horizon():
 def test_criterion_6_high_snr_probing_bound():
     started = time.time()
     base = default_scenario(M=100, sigma2_s=(50.0,) * 100)
-    results = sweep("K", [4, 8, 12], base, "bs", 100_000, seed=6001)
+    results = sweep("K", [4, 8, 12], base, [("bs", None)], 100_000, seed=6001)
     details = []
     ok = True
-    for k, met in results:
+    for k, (met,) in results:
         bound = k / 2 + 0.5
         ok = ok and met.avg_stage <= bound
         details.append(f"K={int(k)}: {met.avg_stage:.3f} <= {bound}")
@@ -247,8 +247,8 @@ def test_criterion_8_figure_trends():
     details = []
 
     # error probability non-increasing in M within 3 sigma
-    res = sweep("M", [4, 8, 12, 16], default_scenario(), "bs", 30_000, seed=808)
-    p = [met.p_error for _, met in res]
+    res = sweep("M", [4, 8, 12, 16], default_scenario(), [("bs", None)], 30_000, seed=808)
+    p = [met.p_error for _, (met,) in res]
     se = [math.sqrt(v * (1 - v) / 30_000) for v in p]
     trend_pe = all(p[i + 1] <= p[i] + 3 * (se[i] + se[i + 1]) for i in range(len(p) - 1))
     details.append(f"p_error vs M {['%.4f' % v for v in p]} non-increasing: {trend_pe}")

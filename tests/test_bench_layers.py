@@ -1,9 +1,10 @@
 """The benchmark's traced layers match the package: every function that
 `bench/tracing.py` traces exists, every layer a workload declares is traced,
 and each workload's commands, at a small trial count, reach every layer the
-workload declares. A change that renames a traced function, or stops calling
-one, fails here and not only in a traced benchmark run. The bench files are
-imported, never changed."""
+workload declares and draw the slots it declares, scaled to that count. A
+change that renames a traced function, stops calling one, or draws other
+slots than a workload declares fails here and not only in a traced benchmark
+run. The bench files are imported, never changed."""
 
 import importlib
 import importlib.util
@@ -31,6 +32,9 @@ def _load(name: str):
 
 tracing = _load("tracing")
 workloads = _load("workloads")
+# the trial count at which each workload declares its commands' slots
+_WORKLOAD_TRIALS = {workloads.BAND_MC.name: workloads.BAND_TRIALS,
+                    workloads.DP.name: workloads.DP_TRIALS}
 TRACED_NAMES = {f"{m}.{fn}" for m, fns in tracing.TRACED.items() for fn in fns}
 
 
@@ -66,7 +70,8 @@ _TRACED_RUN = textwrap.dedent("""
         assert cli.main(argv) == 0, argv
     record = tracer.record()
     print(json.dumps({"missing": record["missing"],
-                      "called": sorted(n for n, s in record["functions"].items() if s["calls"])}))
+                      "called": sorted(n for n, s in record["functions"].items() if s["calls"]),
+                      "slots": record["functions"]["sensing_model.draw_slots"]["slots"]}))
 """)
 
 
@@ -81,6 +86,13 @@ def _assert_reaches_every_declared_layer(name, tmp_path):
     assert result["missing"] == []
     unreached = set(workloads.WORKLOADS[name].layers) - set(result["called"])
     assert not unreached, f"{name} no longer reaches {sorted(unreached)}"
+    # the benchmark's `traced slots` check, at SMALL_TRIALS instead of the
+    # workload's trial count
+    declared = sum(command.slots for command in workloads.WORKLOADS[name].commands)
+    assert result["slots"] * _WORKLOAD_TRIALS[name] == declared * SMALL_TRIALS, (
+        f"{name} drew {result['slots']} slots at {SMALL_TRIALS} trials; "
+        f"it declares {declared} at {_WORKLOAD_TRIALS[name]}"
+    )
 
 
 def test_band_mc_reaches_every_declared_layer(tmp_path):

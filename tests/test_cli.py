@@ -258,18 +258,36 @@ class TestRunExperiment:
 
 
 class TestPresetSmoke:
+    # each preset's exact header and the leading (axis) columns of its rows, in order
     @pytest.mark.parametrize(
-        "preset,extra",
+        "preset,extra,header,keys",
         [
-            ("fig-perror-vs-M", "m_values = 8, 10\n"),
-            ("fig-throughput-vs-M", "m_values = 10\nomega_values = 0.5\n"),
-            ("fig-probed-vs-M", "m_values = 10\n"),
-            ("fig-throughput-compare", "m_values = 10\n"),
-            ("fig-probed-vs-K", "k_values = 4\n"),
-            ("fig-fading-probed", "m_values = 8\n"),
+            ("fig-perror-vs-M", "m_values = 8, 10\n",
+             "M,p_error_bs,p_error_dp,stderr_bs,stderr_dp,trials,seed", [["8"], ["10"]]),
+            # omega is the outer loop and M the inner one
+            ("fig-throughput-vs-M", "m_values = 8, 10\nomega_values = 0.5, 0.999\n",
+             "M,omega,thr_primary,thr_secondary,trials,seed",
+             [["8", "0.5"], ["10", "0.5"], ["8", "0.999"], ["10", "0.999"]]),
+            ("fig-probed-vs-M", "m_values = 10, 8\n",
+             "M,probed_bs,probed_dp_error,probed_dp_throughput,trials,seed", [["10"], ["8"]]),
+            ("fig-throughput-compare", "m_values = 10\n",
+             "M,ws_bs,ws_dp_error,ws_dp_throughput,trials,seed", [["10"]]),
+            ("fig-probed-vs-K", "k_values = 4, 2\n",
+             "K,probed_low_snr,probed_high_snr,probed_shift_in_mean,trials,seed", [["4"], ["2"]]),
+            ("fig-fading-probed", "m_values = 8\n",
+             "M,sensing_time_fading,sensing_time_perfect,probed_fading,probed_perfect,trials,seed",
+             [["8"]]),
+            ("fig-thresholds-vs-stage", "c_values = 0, 0.001\n",
+             "c,stage,pi_low,pi_high,llr_equiv_declare_busy,llr_equiv_declare_free",
+             [[c, str(k)] for c in ("0", "0.001") for k in range(1, 9)]),
+            ("fig-sensing-vs-c", "c_values = 0.01, 0\n",
+             "c,avg_sensing_time,p_error,trials,seed", [["0.01"], ["0"]]),
+            ("custom", "",
+             "detector,trials,seed,p_error,avg_stage,avg_sensing_time,thr_secondary,thr_primary",
+             [["bs"]]),
         ],
     )
-    def test_preset_emits_csv(self, tmp_path, preset, extra):
+    def test_preset_csv_layout(self, tmp_path, preset, extra, header, keys):
         cfg = _write(
             tmp_path,
             f"[experiment]\npreset = {preset}\ntrials = 300\nseed = 1\n"
@@ -280,7 +298,41 @@ class TestPresetSmoke:
         csv_path = tmp_path / "out" / f"{preset}.csv"
         assert csv_path in written
         lines = csv_path.read_text().splitlines()
-        assert len(lines) >= 2 and "," in lines[0]
+        assert lines[0] == header
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:len(keys[0])] for row in rows] == keys
+        assert all(len(row) == len(header.split(",")) for row in rows)
+
+
+class TestSlotDraws:
+    @pytest.mark.parametrize(
+        "preset,extra",
+        [
+            # three columns, one draw per M
+            ("fig-probed-vs-M", "m_values = 8, 10\n"),
+            # one column; each c value draws its own slots
+            ("fig-sensing-vs-c", "c_values = 0, 0.01\n"),
+        ],
+    )
+    def test_one_chunk_stream_per_axis_value(self, tmp_path, monkeypatch, preset, extra):
+        import ordfuse.fusion_sim as fusion_sim
+
+        drawn = []
+        draw = fusion_sim.draw_slots
+
+        def counting_draw(config, rng, n_slots):
+            drawn.append((config.M, n_slots))
+            return draw(config, rng, n_slots)
+
+        monkeypatch.setattr(fusion_sim, "draw_slots", counting_draw)
+        cfg = _write(
+            tmp_path,
+            f"[experiment]\npreset = {preset}\ntrials = 300\nseed = 1\n"
+            f"output = {tmp_path / 'out'}\n{extra}",
+        )
+        run_experiment(load_config(cfg))
+        expected = [(8, 300), (10, 300)] if preset == "fig-probed-vs-M" else [(10, 300)] * 2
+        assert drawn == expected
 
 
 class TestMain:
@@ -350,6 +402,18 @@ class TestMain:
         assert main(argv) == 2
         assert "identical sensors" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_probed_vs_k_ignores_loaded_k_and_timing(self, tmp_path):
+        # fig-probed-vs-K runs M=100 scenarios of its own and sets K on each,
+        # so a loaded K that the default timing cannot fit must not reach them
+        experiment = "[experiment]\npreset = fig-probed-vs-K\nk_values = 4\ntrials = 300\nseed = 1\n"
+        cfg = _write(tmp_path, "[scenario]\nM = 12\nK = 12\ntau = 0.05\n" + experiment)
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "loaded")]) == 0
+        baseline = _write(tmp_path, experiment, "baseline.ini")
+        assert main(["run", "--config", str(baseline), "--out", str(tmp_path / "baseline")]) == 0
+        csv_name = "fig-probed-vs-K.csv"
+        assert (tmp_path / "loaded" / csv_name).read_bytes() == (tmp_path / "baseline" / csv_name).read_bytes()
 
     def test_non_identical_config_solves_and_runs_other_presets(self, tmp_path):
         cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n")

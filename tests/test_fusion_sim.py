@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ class TestRunMonteCarlo:
         assert 0.0 <= met.p_error <= 1.0
         assert met.norm_throughput_secondary >= 0.0
 
+    def test_p_error_stderr(self, scenario):
+        met = run_monte_carlo(scenario, prior_only(scenario.pi0), 4_000, seed=3)
+        assert met.p_error_stderr == pytest.approx(math.sqrt(met.p_error * (1 - met.p_error) / 4_000))
+        assert met.p_error_stderr > 0.0
+
     def test_same_seed_reproducible(self, scenario):
         a = run_monte_carlo(scenario, make_detector("bs", scenario), 20_000, seed=97)
         b = run_monte_carlo(scenario, make_detector("bs", scenario), 20_000, seed=97)
@@ -36,10 +42,10 @@ class TestRunMonteCarlo:
         # engine's chunk stream, which it needs to see
         from ordfuse.fusion_sim import _Accumulator, _chunks
 
-        acc = _Accumulator(scenario.K)
+        acc = _Accumulator(scenario.K, None)
         for truth, ordered in _chunks(scenario, 123, 40_000):
             stage = np.ones(ordered.shape[0], dtype=np.int64)
-            acc.add(truth, truth.astype(np.int8), stage, scenario, None)
+            acc.add(truth, truth.astype(np.int8), stage, scenario)
         met = acc.metrics()
         assert met.p_error == 0.0
         se = math.sqrt(0.25 / 40_000) * 0.7
@@ -126,47 +132,74 @@ class TestCompareWithBlockOracle:
 
 class TestSweep:
     def test_error_rate_non_increasing_in_m(self, scenario):
-        results = sweep("M", [4, 8, 12, 16], scenario, "bs", 30_000, seed=10)
-        p = [met.p_error for _, met in results]
-        se = [math.sqrt(v * (1 - v) / 30_000) for v in p]
+        results = sweep("M", [4, 8, 12, 16], scenario, [("bs", None)], 30_000, seed=10)
+        p = [met.p_error for _, (met,) in results]
+        se = [met.p_error_stderr for _, (met,) in results]
         for i in range(len(p) - 1):
             assert p[i + 1] <= p[i] + 3 * (se[i] + se[i + 1])
 
     def test_zero_cost_never_stops_early(self, scenario):
         cm = CostModel.error_min()
-        results = sweep("c", [0.0], scenario, "dp", 5_000, seed=11, cost_model=cm)
-        _, met = results[0]
+        results = sweep("c", [0.0], scenario, [("dp", cm)], 5_000, seed=11)
+        _, (met,) = results[0]
         assert met.stage_histogram[scenario.K] == 5_000
         assert scenario.tau_N + met.avg_stage * scenario.tau == pytest.approx(1.0)
 
     def test_sensing_time_decreases_with_cost(self, scenario):
         cm = CostModel.error_min()
-        results = sweep("c", [0.0, 1e-4, 1e-2], scenario, "dp", 10_000, seed=12, cost_model=cm)
-        times = [scenario.tau_N + met.avg_stage * scenario.tau for _, met in results]
+        results = sweep("c", [0.0, 1e-4, 1e-2], scenario, [("dp", cm)], 10_000, seed=12)
+        times = [scenario.tau_N + met.avg_stage * scenario.tau for _, (met,) in results]
         assert times[0] == pytest.approx(1.0)
         assert times[0] > times[1] > times[2]
 
     def test_k_axis_refits_timing(self, scenario):
-        results = sweep("K", [12], default_scenario(M=100), "bs", 500, seed=13)
+        results = sweep("K", [12], default_scenario(M=100), [("bs", None)], 500, seed=13)
         assert len(results) == 1  # would raise at construction if timing stayed invalid
 
     def test_m_axis_extends_sigma(self, scenario):
-        results = sweep("M", [15], scenario, "bs", 500, seed=14)
-        assert results[0][1].trials == 500
+        results = sweep("M", [15], scenario, [("bs", None)], 500, seed=14)
+        assert results[0][1][0].trials == 500
 
     def test_m_axis_rejects_non_identical_sensors(self):
         # there is no one signal power to repeat over the new sensor count
         cfg = default_scenario(M=4, sigma2_s=(1.0, 2.0, 3.0, 4.0))
         with pytest.raises(ValueError, match="identical sensors"):
-            sweep("M", [4, 6], cfg, "dp", 10, seed=18, cost_model=CostModel.error_min())
+            sweep("M", [4, 6], cfg, [("dp", CostModel.error_min())], 10, seed=18)
 
     def test_unknown_axis_rejected(self, scenario):
         with pytest.raises(ValueError, match="axis"):
-            sweep("Q", [1], scenario, "bs", 10, seed=17)
+            sweep("Q", [1], scenario, [("bs", None)], 10, seed=17)
 
-    def test_empty_values_rejected(self, scenario):
+    @pytest.mark.parametrize("values,columns", [([], [("bs", None)]), ([4], [])])
+    def test_empty_values_or_columns_rejected(self, scenario, values, columns):
         with pytest.raises(ValueError, match="at least one"):
-            sweep("M", [], scenario, "bs", 10, seed=18)
+            sweep("M", values, scenario, columns, 10, seed=18)
+
+    def test_c_axis_needs_a_cost_model_per_column(self, scenario):
+        with pytest.raises(ValueError, match="cost model"):
+            sweep("c", [0.0], scenario, [("dp", CostModel.error_min()), ("bs", None)], 10, seed=18)
+
+    @pytest.mark.parametrize("axis,values", [("M", [6, 9]), ("K", [4, 6]), ("c", [0.0, 1e-3])])
+    def test_columns_equal_independent_runs(self, scenario, axis, values):
+        # bs books the throughput model and dp the error-min model, as in
+        # fig-throughput-compare; 10k trials span two chunks
+        cm_thr = CostModel.throughput(omega=0.5, c=1e-4)
+        cm_err = CostModel.error_min(c=1e-4)
+        columns = [("bs", cm_thr), ("block-map", cm_err), ("dp", cm_err), ("prior-only", cm_thr)]
+        results = sweep(axis, values, scenario, columns, 10_000, seed=21)
+        assert [value for value, _ in results] == values
+        for value, metrics in results:
+            assert len(metrics) == len(columns)
+            if axis == "M":
+                cfg = scenario.with_sensors(value)
+            elif axis == "K":
+                cfg = replace(scenario, K=value)  # timing valid as it is, so no refit
+            else:
+                cfg = scenario
+            for (kind, cm), met in zip(columns, metrics):
+                if axis == "c":
+                    cm = replace(cm, c=value)
+                assert met == run_monte_carlo(cfg, make_detector(kind, cfg, cm), 10_000, 21, cm)
 
 
 class TestMakeDetector:
