@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sensing_model import ScenarioConfig
+from .sensing_model import ScenarioConfig, _require_finite
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class FadingConfig:
     T_c: int = 1  # coherence period, in slots
 
     def __post_init__(self):
+        _require_finite((self.W, self.tau_b, self.P_over_sigma, self.Gamma, self.gain_mean))
         if self.W <= 0 or self.bits < 0 or self.tau_b <= 0:
             raise ValueError("W and tau_b must be > 0 and bits >= 0")
         if self.Gamma <= 1.0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ _ENVELOPE_DENSE_POINTS = 16384
 _ENVELOPE_TAIL_POINTS = 4096
 # largest midpoint miss of a correction-table cell that is not evaluated exactly
 _TABLE_TOLERANCE = 1e-12
+# the closed-form tail takes the log of x clipped here, far past any tail
+# above 1e-300, so that x = inf gives a zero tail and not inf - inf
+_X_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,12 @@ class LlrLaw:
             raise ValueError("dof must be >= 1")
         if self.scale0 <= 0 or self.scale1 <= 0 or self.shift <= 0:
             raise ValueError("scales and shift must be > 0")
-        if self.model is MeasurementModel.ENERGY_CHI_SQUARE and self.scale0 >= self.scale1:
-            raise ValueError("energy model requires scale0 < scale1")
+        if self.model is MeasurementModel.ENERGY_CHI_SQUARE:
+            # the chi-square tails are in closed form for integer dof only
+            if not isinstance(self.dof, numbers.Integral):
+                raise ValueError("energy model requires an integer dof")
+            if self.scale0 >= self.scale1:
+                raise ValueError("energy model requires scale0 < scale1")
 
     @classmethod
     def energy(cls, dof: int, snr: float) -> "LlrLaw":
@@ -92,12 +100,63 @@ def law_for_sensor(config: ScenarioConfig, sensor: int) -> LlrLaw:
     return LlrLaw.shift_in_mean(config.N, config.mu0[sensor], config.mu1[sensor], config.sigma2)
 
 
-def _chi2_cdf(q, dof):
-    return special.gammainc(0.5 * dof, np.maximum(np.asarray(q, float), 0.0) * 0.5)
+def _chi2_cdf(q, dof: int):
+    return _chi2_tail(q, dof, upper=False)
 
 
-def _chi2_sf(q, dof):
-    return special.gammaincc(0.5 * dof, np.maximum(np.asarray(q, float), 0.0) * 0.5)
+def _chi2_sf(q, dof: int):
+    return _chi2_tail(q, dof, upper=True)
+
+
+def _chi2_tail(q, dof: int, upper: bool):
+    """One tail of the chi-square law with `dof` degrees of freedom at q.
+
+    With x = q/2 and a = dof/2, the upper tail is computed directly at and
+    above the mean (x >= a), in closed form, and the lower tail below it, by
+    scipy; the other tail is the complement, so the two tails add to one
+    within one rounding."""
+    x = np.maximum(q, 0.0) * 0.5
+    above = x >= 0.5 * dof
+    # an input wholly on one side of the mean needs no mask and no scatter;
+    # on a scalar, count_nonzero would cost as much as the tail itself
+    n_above = int(above) if above.ndim == 0 else np.count_nonzero(above)
+    if n_above in (0, above.size):
+        return _one_side_tail(x, dof, upper, above=n_above > 0)
+    out = np.empty_like(x)
+    out[above] = _one_side_tail(x[above], dof, upper, above=True)
+    out[~above] = _one_side_tail(x[~above], dof, upper, above=False)
+    return out
+
+
+def _one_side_tail(x, dof: int, upper: bool, above: bool):
+    """The requested tail at points x that all lie above the mean, or all below it."""
+    if above:
+        direct = _chi2_upper_above_mean(x, dof)
+    else:
+        direct = special.gammainc(0.5 * dof, x)
+    return direct if upper == above else 1.0 - direct
+
+
+def _chi2_upper_above_mean(x, dof: int):
+    """Pr(chi2_dof > 2x) at x >= dof/2 in closed form (Abramowitz & Stegun
+    26.4.4-26.4.5): the sum of e^-x x^p / Gamma(p+1) over p = dof/2 - 1,
+    dof/2 - 2, ... down to 0 or 1/2, plus erfc(sqrt(x)) for odd dof.
+
+    Each term is p/x times the one before it, less than one at x >= dof/2,
+    so the sum runs from the largest term down and nothing overflows. The
+    cost grows with dof: at dof >= 200 scipy's `gammaincc` is faster."""
+    p = 0.5 * dof - 1.0
+    total = 0.0
+    if p >= 0.0:
+        term = np.exp(p * np.log(np.minimum(x, _X_MAX)) - x - math.lgamma(p + 1.0))
+        total = term
+    while p >= 1.0:
+        term = term * (p / x)
+        total = total + term
+        p -= 1.0
+    if dof % 2:
+        total = total + special.erfc(np.sqrt(x))
+    return total
 
 
 def llr_pdf(y, hyp: Hypothesis, law: LlrLaw):

@@ -4,14 +4,16 @@ Nothing in the runtime imports this module and `ordfuse` does not re-export
 it. Each function computes, by a slower or more direct route, a quantity the
 runtime gets elsewhere: one sensor's LLR from its samples and the magnitude
 ranking (`draw_slots`), the band thresholds at one stage (`decide_batch`),
-the log central mass with both branches at every point
-(`llr_distributions._log_central_mass`), the correction-term extrema over an
-interval (`CorrectionEnvelope` and `bs_thresholds._stage_extrema`), the belief
-update (`run_policy_batch`), the solver's continuation over the whole belief
-grid at once (`dp_policy._continuation`), and the exact rank densities and
-subset sums behind the solver's marginal recursion. `compare_with_block_oracle`
-runs the sequential band detector and block MAP on the Monte Carlo engine's
-slot stream and reports where they disagree.
+the chi-square tails from scipy at every point
+(`llr_distributions._chi2_cdf` and `_chi2_sf`), the log central mass with
+both branches at every point (`llr_distributions._log_central_mass`), the
+correction-term extrema over an interval (`CorrectionEnvelope` and
+`bs_thresholds._stage_extrema`), the belief update (`run_policy_batch`),
+the solver's continuation over the whole belief grid at once
+(`dp_policy._continuation`), and the exact rank densities and subset sums
+behind the solver's marginal recursion. `compare_with_block_oracle` runs
+the sequential band detector and block MAP on the Monte Carlo engine's slot
+stream and reports where they disagree.
 
 `envelope_extrema` reads the term at its query point from the envelope's
 cubic table, which checks each cell's midpoint against `correction_term`
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .bs_thresholds import decide_batch, map_block_batch
 from .dp_policy import PosteriorUndefined
@@ -145,6 +148,21 @@ def compare_with_block_oracle(
         n_disagreements=n_disagree,
         first_disagreement=first,
     )
+
+
+# ---------------------------------------------------------------------------
+# Chi-square tails
+
+
+def chi2_tails(q, dof: int):
+    """(lower, upper) tail of the chi-square law with `dof` degrees of freedom
+    at q, each from scipy's regularized incomplete gamma function at every
+    point (`llr_distributions._chi2_cdf` and `_chi2_sf` compute the tail
+    that lies away from the mean directly, the upper one above the mean in
+    closed form and the lower one below it, and the other as its
+    complement)."""
+    x = np.maximum(np.asarray(q, dtype=float), 0.0) * 0.5
+    return special.gammainc(0.5 * dof, x), special.gammaincc(0.5 * dof, x)
 
 
 # ---------------------------------------------------------------------------

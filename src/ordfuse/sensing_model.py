@@ -41,12 +41,20 @@ def _as_sensor_list(value, m: int, name: str) -> tuple[float, ...]:
     return out
 
 
+def _require_finite(values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("every value must be finite")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Slot timing, prior, sensor count and per-sensor signal powers.
 
-    Timing must satisfy tau_s - tau_N - K*tau >= 0 so that K reporting
-    mini-slots fit in the slot after the sampling window.
+    Every value is finite. Timing must satisfy tau_s > 0, tau_N >= 0,
+    tau >= 0 and tau_s - tau_N - K*tau >= 0, so that K reporting mini-slots
+    fit in the slot after the sampling window. Under the energy model each
+    sensor's SNR must leave 1 + SNR above 1, or the two hypotheses coincide
+    in floating point.
     """
 
     M: int
@@ -68,17 +76,25 @@ class ScenarioConfig:
             raise ValueError("sensor counts must satisfy M >= K >= 1")
         if self.N < 1:
             raise ValueError("samples per slot must satisfy N >= 1")
+        _require_finite((self.tau_s, self.tau_N, self.tau, self.pi0, self.sigma2, *self.sigma2_s))
         if not 0.0 <= self.pi0 <= 1.0:
             raise ValueError("prior pi0 must lie in [0, 1]")
         if self.sigma2 <= 0 or any(s <= 0 for s in self.sigma2_s):
             raise ValueError("all variances must be > 0")
+        if not (self.tau_s > 0 and self.tau_N >= 0 and self.tau >= 0):
+            raise ValueError("timing must satisfy tau_s > 0, tau_N >= 0 and tau >= 0")
         if self.tau_s - self.tau_N - self.K * self.tau < -1e-12:
             raise ValueError("timing must satisfy tau_s - tau_N - K*tau >= 0")
-        if self.measurement_model is MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN:
+        if self.measurement_model is MeasurementModel.ENERGY_CHI_SQUARE:
+            if not all(math.isfinite(g) and 1.0 + g > 1.0 for g in map(self.snr, range(self.M))):
+                raise ValueError("energy model requires every SNR sigma2_s/sigma2 to be finite "
+                                 "with 1 + SNR > 1")
+        else:
             if self.mu0 is None or self.mu1 is None:
                 raise ValueError("shift-in-mean model requires mu0 and mu1")
             object.__setattr__(self, "mu0", _as_sensor_list(self.mu0, self.M, "mu0"))
             object.__setattr__(self, "mu1", _as_sensor_list(self.mu1, self.M, "mu1"))
+            _require_finite(self.mu0 + self.mu1)
             if any(a == b for a, b in zip(self.mu0, self.mu1)):
                 raise ValueError("shift-in-mean model requires mu0 != mu1 per sensor")
 

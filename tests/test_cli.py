@@ -581,3 +581,40 @@ class TestMain:
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    # each value passed validation, or failed for another reason, before the
+    # scenario and link dataclasses checked finiteness, timing and the SNR
+    @pytest.mark.parametrize("text,rule", [
+        pytest.param("[scenario]\nsigma2 = nan\n", "[scenario] every value must be finite",
+                     id="sigma2-nan"),
+        pytest.param("[scenario]\nsigma2_s = nan\n", "[scenario] every value must be finite",
+                     id="sigma2_s-nan"),
+        pytest.param("[scenario]\nmeasurement_model = shift-in-mean\nmu1 = nan\n",
+                     "[scenario] every value must be finite", id="mu1-nan"),
+        pytest.param("[scenario]\nsigma2 = inf\n", "[scenario] every value must be finite",
+                     id="sigma2-inf"),
+        pytest.param("[scenario]\nsigma2_s = inf\n", "[scenario] every value must be finite",
+                     id="sigma2_s-inf-bs"),
+        pytest.param("[scenario]\nsigma2_s = inf\n[experiment]\ndetector = dp\n",
+                     "[scenario] every value must be finite", id="sigma2_s-inf-dp"),
+        pytest.param("[scenario]\nsigma2_s = 1e-320\n", "1 + SNR > 1", id="sigma2_s-subnormal"),
+        pytest.param("[scenario]\ntau = nan\n", "[scenario] every value must be finite",
+                     id="tau-nan"),
+        pytest.param("[scenario]\ntau_s = 0\ntau_N = 0\ntau = 0\n", "tau_s > 0", id="tau_s-zero"),
+        pytest.param("[scenario]\ntau_N = -1\n", "tau_N >= 0", id="tau_N-negative"),
+        pytest.param("[fading]\nW = nan\n", "[fading] every value must be finite", id="W-nan"),
+        pytest.param("[fading]\nP_over_sigma = nan\n", "[fading] every value must be finite",
+                     id="P_over_sigma-nan"),
+        pytest.param("[fading]\ngain_mean = inf\n", "[fading] every value must be finite",
+                     id="gain_mean-inf"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_or_impossible_value_exit_2(self, tmp_path, capsys, command, text, rule):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--preset", "custom", "--trials", "200", "--out", str(out)]
+        assert main(argv) == 2
+        assert rule in capsys.readouterr().err
+        assert not out.exists()

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ordfuse import llr_distributions
+from ordfuse.defaults import default_scenario
+from ordfuse.dp_policy import CostModel, solve_backward
+from ordfuse.fusion_sim import make_detector, run_monte_carlo
 from ordfuse.llr_distributions import (
     _ZERO_LIMIT,
     LlrLaw,
+    _chi2_cdf,
+    _chi2_sf,
     _half_mass_magnitude,
     central_mass,
     correction_term,
@@ -15,7 +21,7 @@ from ordfuse.llr_distributions import (
     llr_cdf,
     llr_pdf,
 )
-from ordfuse.reference import correction_extrema, envelope_extrema, log_central_mass
+from ordfuse.reference import chi2_tails, correction_extrema, envelope_extrema, log_central_mass
 from ordfuse.sensing_model import Hypothesis
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -36,6 +42,67 @@ class TestLawConstruction:
         # d^2 = N (mu1 - mu0)^2 / sigma2 = 12
         assert shift_law.scale0 == pytest.approx(math.sqrt(12.0))
         assert shift_law.shift == pytest.approx(6.0)
+
+
+TAIL_DOFS = (1, 2, 3, 4, 5, 8, 10, 20, 40, 41, 100)
+
+
+def _tail_points(dof):
+    """Log-spaced q from 1e-8 to 1e3, and q = dof and 50 ulps either side."""
+    ulps = np.arange(-50, 51)
+    return np.concatenate([np.logspace(-8.0, 3.0, 2001), dof + ulps * np.spacing(float(dof))])
+
+
+class TestChi2Tails:
+    """The closed-form upper tail above the mean and scipy's lower tail below
+    it, each with its complement, against scipy's pair at every point."""
+
+    @pytest.mark.parametrize("dof", TAIL_DOFS)
+    def test_match_scipy_oracle(self, dof):
+        q = _tail_points(dof)
+        for got, want in zip((_chi2_cdf(q, dof), _chi2_sf(q, dof)), chi2_tails(q, dof)):
+            kept = want >= 1e-300
+            assert np.all(np.abs(got[kept] - want[kept]) <= 1e-12 * want[kept])
+
+    @pytest.mark.parametrize("dof", TAIL_DOFS)
+    def test_tails_complementary(self, dof):
+        q = _tail_points(dof)
+        assert np.max(np.abs(_chi2_cdf(q, dof) + _chi2_sf(q, dof) - 1.0)) <= 2.0**-52
+
+    @pytest.mark.parametrize("dof", TAIL_DOFS)
+    def test_nonpositive_q_gives_zero_and_one(self, dof):
+        q = np.array([0.0, -0.0, -1e-300, -3.0, -np.inf])
+        assert np.array_equal(_chi2_cdf(q, dof), np.zeros(5))
+        assert np.array_equal(_chi2_sf(q, dof), np.ones(5))
+
+    @pytest.mark.parametrize("dof", (1, 4, 41))
+    def test_infinite_and_nan_q(self, dof):
+        q = np.array([np.inf, np.nan, 2.0 * dof])
+        assert np.array_equal(_chi2_cdf(q, dof)[:2], [1.0, np.nan], equal_nan=True)
+        assert np.array_equal(_chi2_sf(q, dof)[:2], [0.0, np.nan], equal_nan=True)
+
+    @pytest.mark.parametrize("dof", (3, 40))
+    @pytest.mark.parametrize("q", (0.5, 3.0, 40.0, 300.0))
+    def test_scalar_forms_match_one_element_array(self, dof, q):
+        for tail in (_chi2_cdf, _chi2_sf):
+            want = tail(np.array([q]), dof)[0]
+            assert tail(q, dof) == want
+            assert tail(np.asarray(q), dof) == want
+
+    @pytest.mark.parametrize("dof", (2, 3, 40))
+    def test_mixed_input_matches_each_side_alone(self, dof):
+        # an input on both sides of the mean is split, computed per side and
+        # scattered back
+        q = _tail_points(dof)
+        above = q >= dof
+        for tail in (_chi2_cdf, _chi2_sf):
+            got = tail(q, dof)
+            assert np.array_equal(got[above], tail(q[above], dof))
+            assert np.array_equal(got[~above], tail(q[~above], dof))
+
+    def test_energy_law_rejects_non_integer_dof(self):
+        with pytest.raises(ValueError, match="integer dof"):
+            LlrLaw.energy(2.5, 2.0)
 
 
 class TestPdfCdf:
@@ -295,3 +362,49 @@ class TestCorrectionEnvelope:
         # the dense core stops at half the 1e-6 quantile even where 4 shifts
         # reach past it (shift law, energy N=10 at SNR 0.1)
         assert np.all(np.diff(envelope_for(law)._grid) > 0.0)
+
+
+@pytest.fixture
+def scipy_tails(monkeypatch):
+    """Switches the chi-square tails to scipy's pair when called; the cached
+    laws built on either pair are dropped at each switch and at teardown."""
+
+    def switch():
+        monkeypatch.setattr(llr_distributions, "_chi2_cdf", lambda q, dof: chi2_tails(q, dof)[0])
+        monkeypatch.setattr(llr_distributions, "_chi2_sf", lambda q, dof: chi2_tails(q, dof)[1])
+        _clear_law_caches()
+
+    _clear_law_caches()
+    yield switch
+    monkeypatch.undo()
+    _clear_law_caches()
+
+
+def _clear_law_caches():
+    _half_mass_magnitude.cache_clear()
+    envelope_for.cache_clear()
+
+
+def _decisions():
+    """Policies on the default and a 16-sensor non-identical scenario, and
+    Monte Carlo metrics of every detector on the default scenario."""
+    cost = CostModel.error_min()
+    default = default_scenario()
+    mixed = default_scenario(M=16, K=8, sigma2_s=tuple(1.0 + 0.2 * i for i in range(16)))
+    policies = [solve_backward(cfg, cost) for cfg in (default, mixed)]
+    metrics = [
+        run_monte_carlo(default, make_detector(kind, default, cost), 20_000, seed=14, cost_model=cost)
+        for kind in ("bs", "block-map", "dp")
+    ]
+    return policies, metrics
+
+
+def test_decisions_match_scipy_tails(scipy_tails):
+    policies, metrics = _decisions()
+    scipy_tails()
+    want_policies, want_metrics = _decisions()
+    for got, want in zip(policies, want_policies):
+        assert np.array_equal(got.actions, want.actions)
+        assert np.array_equal(got.pi_low, want.pi_low)
+        assert np.array_equal(got.pi_high, want.pi_high)
+    assert metrics == want_metrics
