@@ -16,23 +16,30 @@ from .sensing_model import ScenarioConfig
 
 
 def _stage_extrema(absy: np.ndarray, law: LlrLaw):
-    """Running correction-term extrema per (slot, stage).
+    """Running correction-term extrema per (stage, slot).
 
-    Combines the envelope's grid extrema with this slot's own later report
-    magnitudes so the stage-k extremum always dominates every later query
-    point of the same slot, keeping the sequential and block rules aligned.
-    The suffix extrema include the stage's own point, so this equals the
-    extrema over [0, |y_k|] (`reference.envelope_extrema`) combined with
-    them. The envelope's table gives the term at each report, and one cell
-    index per report serves both the table and the grid extrema.
+    absy is stage-major, (K, n_slots). Combines the envelope's grid extrema
+    with this slot's own later report magnitudes so the stage-k extremum
+    always dominates every later query point of the same slot, keeping the
+    sequential and block rules aligned. The suffix extrema include the
+    stage's own point, so this equals the extrema over [0, |y_k|]
+    (`reference.envelope_extrema`) combined with them. The envelope's table
+    gives the term at each report, and one cell index per report serves
+    both the table and the grid extrema.
     """
     envelope = envelope_for(law)
     cell = envelope.cell(absy)
-    grid_min, grid_max = envelope.prefix_extrema(cell)
+    rho_min, rho_max = envelope.prefix_extrema(cell)
     point = envelope.term(absy, cell)
-    suf_min = np.minimum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
-    suf_max = np.maximum.accumulate(point[:, ::-1], axis=1)[:, ::-1]
-    return np.minimum(grid_min, suf_min), np.maximum(grid_max, suf_max), point
+    # fold the suffix extrema into the grid extrema one stage row at a time,
+    # from the last stage back
+    suf_min, suf_max = point[-1].copy(), point[-1].copy()
+    for k in range(absy.shape[0] - 1, -1, -1):
+        np.minimum(suf_min, point[k], out=suf_min)
+        np.maximum(suf_max, point[k], out=suf_max)
+        np.minimum(rho_min[k], suf_min, out=rho_min[k])
+        np.maximum(rho_max[k], suf_max, out=rho_max[k])
+    return rho_min, rho_max, point
 
 
 def decide_batch(ordered_values: np.ndarray, config: ScenarioConfig, law: LlrLaw):
@@ -40,39 +47,34 @@ def decide_batch(ordered_values: np.ndarray, config: ScenarioConfig, law: LlrLaw
 
     ordered_values: (n_slots, >=K) LLRs sorted by descending magnitude.
     Returns (declared, stage) with declared in {0, 1} and stage in 1..K.
+    The work runs stage-major, on one (K, n_slots) copy of the reports.
     """
     k_max, m_total = config.K, config.M
     y = np.asarray(ordered_values, dtype=float)
     if y.ndim != 2 or y.shape[1] < k_max:
         raise ValueError(f"need at least K={k_max} ordered values per slot")
-    y = y[:, :k_max]
+    y = np.ascontiguousarray(y[:, :k_max].T)
     absy = np.abs(y)
-    running = np.cumsum(y, axis=1)
+    running = np.cumsum(y, axis=0)
     logprior = config.log_prior_ratio()
     unreported = m_total - k_max
 
     rho_min, rho_max, rho_point = _stage_extrema(absy, law)
-    span = (k_max - np.arange(1, k_max))[None, :] * absy[:, : k_max - 1]
-    t_low = logprior - span - unreported * rho_max[:, : k_max - 1]
-    t_high = logprior + span - unreported * rho_min[:, : k_max - 1]
+    final_h1 = running[-1] + unreported * rho_point[-1] >= logprior
+    if k_max == 1:
+        return final_h1.astype(np.int8), np.ones(y.shape[1], dtype=np.int64)
+    span = (k_max - np.arange(1, k_max))[:, None] * absy[:-1]
+    t_low = logprior - span - unreported * rho_max[:-1]
+    t_high = logprior + span - unreported * rho_min[:-1]
 
-    early = running[:, : k_max - 1]
-    low_hit = early < t_low
+    early = running[:-1]
     high_hit = early > t_high
-    final_h1 = running[:, k_max - 1] + unreported * rho_point[:, k_max - 1] >= logprior
-
-    stop = np.concatenate(
-        [low_hit | high_hit, np.ones((y.shape[0], 1), dtype=bool)], axis=1
-    )
-    first = np.argmax(stop, axis=1)
-    rows = np.arange(y.shape[0])
-    at_final = first == k_max - 1
-    declared = np.where(
-        at_final,
-        final_h1,
-        high_hit[rows, np.minimum(first, k_max - 2)] if k_max > 1 else False,
-    ).astype(np.int8)
-    return declared, (first + 1).astype(np.int64)
+    stop = (early < t_low) | high_hit
+    first = np.argmax(stop, axis=0)
+    stopped = stop.any(axis=0)
+    declared = np.where(stopped, high_hit[first, np.arange(y.shape[1])], final_h1)
+    stage = np.where(stopped, first + 1, k_max)
+    return declared.astype(np.int8), stage.astype(np.int64)
 
 
 def map_block_batch(ordered_values: np.ndarray, config: ScenarioConfig, law: LlrLaw):

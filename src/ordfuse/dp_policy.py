@@ -23,6 +23,7 @@ from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig, record
 _TIE_TOL = 1e-11  # stop-vs-continue ties within quadrature noise resolve to continuing
 _GAUSS_ORDER = 16  # Gauss-Legendre nodes per quadrature panel
 _LOG_ODDS_SPAN = 16.0  # belief-grid interior covers log-odds in [-span, span]
+_DOT_TAPS = 8192  # longest kernel piece of a correlation: one single-thread BLAS dot
 
 
 class SolverError(RuntimeError):
@@ -159,7 +160,7 @@ class PolicyTable:
             "cost_model": record(self.cost_model),
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))  # json.dump never uses the C encoder
 
     @classmethod
     def load(cls, path) -> "PolicyTable":
@@ -287,9 +288,12 @@ def _continuation(grid, j_next, f0, f1, weights):
     with f0 = f1 = 0 have mix = 0 and are dropped; at the endpoints the
     posterior stays put.
 
-    Each correlation output is one BLAS dot product of length 2G - 3. OpenBLAS
-    splits a dot product across threads only when it is long (measured: the
-    same bits with 1 and 2 threads at G = 1001 and 2001, not at G = 6001).
+    Each correlation output is a BLAS dot product of length 2G - 3. OpenBLAS
+    splits a dot product of more than 10,000 terms across threads, which
+    changes its rounding, so `_correlate_valid` takes each dot over kernel
+    pieces of at most `_DOT_TAPS` and adds the pieces in a fixed order: the
+    values do not depend on the BLAS thread count at any grid size. Up to
+    G = 4097 the kernel is one piece and the correlation one call.
     """
     g = grid.size
     slope = np.diff(j_next) / np.diff(grid)
@@ -307,13 +311,24 @@ def _continuation(grid, j_next, f0, f1, weights):
     # output i - 1 reads padded entry i - 1 + (d + G - 2), which must hold
     # cell clip(i + d, 0, G - 2)
     pad = (g - 3, g - 2)
-    c1 = np.correlate(np.pad(line1, pad, mode="edge"), a0, "valid")
-    c0 = np.correlate(np.pad(line0, pad, mode="edge"), a1, "valid")
+    c1 = _correlate_valid(np.pad(line1, pad, mode="edge"), a0)
+    c0 = _correlate_valid(np.pad(line0, pad, mode="edge"), a1)
     inner = grid[1:-1]
     out = np.empty(g)
     out[0] = j_next[0] * a1.sum()
     out[1:-1] = inner * c1 + (1.0 - inner) * c0
     out[-1] = j_next[-1] * a0.sum()
+    return out
+
+
+def _correlate_valid(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`np.correlate(a, v, "valid")` as the sum of the correlations of `a`
+    with consecutive pieces of `v` of at most `_DOT_TAPS` taps each."""
+    n_out = a.size - v.size + 1
+    out = np.correlate(a[: n_out - 1 + min(v.size, _DOT_TAPS)], v[:_DOT_TAPS], "valid")
+    for start in range(_DOT_TAPS, v.size, _DOT_TAPS):
+        piece = v[start : start + _DOT_TAPS]
+        out += np.correlate(a[start : start + n_out - 1 + piece.size], piece, "valid")
     return out
 
 

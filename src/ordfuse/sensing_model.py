@@ -134,20 +134,21 @@ def draw_slots(config: ScenarioConfig, rng: np.random.Generator, n_slots: int):
     per slot (ties broken by lower sensor index via a stable sort) and order
     holds the sensor index of each ordered value. A single slot is the
     one-row case.
+
+    Under the energy model the samples are the normals scaled by the
+    hypothesis' standard deviation, so their energy is var_h times the
+    normals' own: the LLR is that energy times var_h g/(g+1)/(2 sigma2),
+    with var_0 = sigma2 and var_1 = sigma2_s + sigma2, less the offset.
     """
     m, n_samp = config.M, config.N
     truth = (rng.random(n_slots) >= config.pi0).astype(np.int8)  # 1 = busy
     z = rng.standard_normal((n_slots, m, n_samp))
     sigma2_s = np.asarray(config.sigma2_s)
     if config.measurement_model is MeasurementModel.ENERGY_CHI_SQUARE:
-        std0 = math.sqrt(config.sigma2)
-        std1 = np.sqrt(sigma2_s + config.sigma2)
-        scale = np.where(truth[:, None] == 0, std0, std1[None, :])
-        x = z * scale[:, :, None]
         g = sigma2_s / config.sigma2
-        energy = np.einsum("ijk,ijk->ij", x, x)
-        llr = (g / (g + 1.0))[None, :] * energy / (2.0 * config.sigma2) \
-            - 0.5 * n_samp * np.log1p(g)[None, :]
+        var = np.stack([np.full(m, config.sigma2), sigma2_s + config.sigma2])
+        coef = var * (g / (g + 1.0)) / (2.0 * config.sigma2)  # (hypothesis, sensor)
+        llr = coef[truth] * np.einsum("ijk,ijk->ij", z, z) - 0.5 * n_samp * np.log1p(g)[None, :]
     else:
         mu0 = np.asarray(config.mu0)
         mu1 = np.asarray(config.mu1)

@@ -104,23 +104,23 @@ class TestThresholdsAtStage:
     def test_matches_batch_internal_extrema(self, scenario, law):
         # the golden-refined reference and the envelope-based batch path agree
         _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(2), 64)
-        absy = np.abs(ordered[:, : scenario.K])
+        absy = np.abs(ordered[:, : scenario.K]).T  # stage-major
         rho_min, rho_max, _ = _stage_extrema(absy, law)
         for i in (0, 5, 20):
             for k in (1, 4, 7):
-                lo_ref, hi_ref = correction_extrema(absy[i, k - 1], law)
-                assert rho_min[i, k - 1] == pytest.approx(lo_ref, abs=1e-6)
-                assert rho_max[i, k - 1] == pytest.approx(hi_ref, abs=1e-6)
+                lo_ref, hi_ref = correction_extrema(absy[k - 1, i], law)
+                assert rho_min[k - 1, i] == pytest.approx(lo_ref, abs=1e-6)
+                assert rho_max[k - 1, i] == pytest.approx(hi_ref, abs=1e-6)
 
     def test_batch_extrema_per_slot_monotone(self, scenario, law):
         _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(3), 500)
-        absy = np.abs(ordered[:, : scenario.K])
+        absy = np.abs(ordered[:, : scenario.K]).T  # stage-major
         rho_min, rho_max, point = _stage_extrema(absy, law)
-        assert np.all(np.diff(rho_min, axis=1) >= 0.0)
-        assert np.all(np.diff(rho_max, axis=1) <= 0.0)
+        assert np.all(np.diff(rho_min, axis=0) >= 0.0)
+        assert np.all(np.diff(rho_max, axis=0) <= 0.0)
         # stage extrema always dominate the final report's correction value
-        assert np.all(rho_min <= point[:, -1:] + 0.0)
-        assert np.all(rho_max >= point[:, -1:] - 0.0)
+        assert np.all(rho_min <= point[-1:] + 0.0)
+        assert np.all(rho_max >= point[-1:] - 0.0)
 
     @pytest.mark.parametrize("which", ["energy", "shift"])
     def test_equals_envelope_extrema_with_suffix(self, which, request):
@@ -129,14 +129,14 @@ class TestThresholdsAtStage:
         cfg = request.getfixturevalue("scenario" if which == "energy" else "shift_scenario")
         law = law_for_sensor(cfg, 0)
         _, _, ordered, _ = draw_slots(cfg, np.random.default_rng(29), 4096)
-        absy = np.abs(ordered[:, : cfg.K])
+        absy = np.abs(ordered[:, : cfg.K]).T  # stage-major
         rho_min, rho_max, point = _stage_extrema(absy, law)
 
         env_min, env_max = envelope_extrema(absy, law)
         envelope = envelope_for(law)
         ref_point = envelope.term(absy, envelope.cell(absy))
-        suf_min = np.minimum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
-        suf_max = np.maximum.accumulate(ref_point[:, ::-1], axis=1)[:, ::-1]
+        suf_min = np.minimum.accumulate(ref_point[::-1], axis=0)[::-1]
+        suf_max = np.maximum.accumulate(ref_point[::-1], axis=0)[::-1]
         assert np.array_equal(rho_min, np.minimum(env_min, suf_min))
         assert np.array_equal(rho_max, np.maximum(env_max, suf_max))
         assert np.array_equal(point, ref_point)

@@ -293,8 +293,10 @@ class TestContinuation:
             "import hashlib\n"
             "from ordfuse.defaults import default_scenario\n"
             "from ordfuse.dp_policy import CostModel, solve_backward\n"
-            "for cfg in (default_scenario(), default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))):\n"
-            "    policy = solve_backward(cfg, CostModel.error_min(c=0.0001))\n"
+            "for cfg, grid_size in ((default_scenario(), 1001),\n"
+            "                       (default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5)), 1001),\n"
+            "                       (default_scenario(), 6001)):\n"
+            "    policy = solve_backward(cfg, CostModel.error_min(c=0.0001), grid_size)\n"
             "    print(hashlib.sha256(policy.values.tobytes()).hexdigest())\n"
         )
         digests = []
@@ -307,7 +309,7 @@ class TestContinuation:
             done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                   capture_output=True, text=True, timeout=300)
             digests.append(done.stdout.split())
-        assert len(digests[0]) == 2
+        assert len(digests[0]) == 3
         assert digests[0] == digests[1]
 
     def test_peak_memory_is_bounded(self):
@@ -467,6 +469,9 @@ class TestSerialization:
         path = tmp_path / "policy.json"
         policy_throughput_default.save(path)
         loaded = PolicyTable.load(path)
+        resaved = tmp_path / "resaved.json"
+        loaded.save(resaved)
+        assert resaved.read_bytes() == path.read_bytes()
         np.testing.assert_array_equal(loaded.grid, policy_throughput_default.grid)
         np.testing.assert_array_equal(loaded.values, policy_throughput_default.values)
         np.testing.assert_array_equal(loaded.actions, policy_throughput_default.actions)
@@ -513,6 +518,9 @@ class TestSerialization:
         path = tmp_path / "policy.json"
         policy_throughput_default.save(path)
         loaded = PolicyTable.load(path)
+        resaved = tmp_path / "resaved.json"
+        loaded.save(resaved)
+        assert resaved.read_bytes() == path.read_bytes()
         assert loaded.diagnostics == policy_throughput_default.diagnostics
         assert set(loaded.diagnostics) == {"quadrature_mass_error", "nodes", "grid_size"}
         assert loaded.diagnostics["nodes"] == 2144

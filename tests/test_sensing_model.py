@@ -150,6 +150,36 @@ class TestDrawSlot:
         se = math.sqrt(2.0 / n_samples) * 3.0  # var of chi2 mean, scaled
         assert abs(per_sample - 3.0) < 3.0 * se + 1e-3
 
+    @pytest.mark.parametrize("which", ["energy", "shift"])
+    def test_ties_go_to_the_lower_sensor_index(self, which, shift_scenario):
+        # a stub generator makes two ties in the one slot: identical energy
+        # sensors with equal normals have equal LLRs, and mirrored samples
+        # under the shift-in-mean model give LLRs of +v and -v
+        cfg = default_scenario() if which == "energy" else shift_scenario
+        z = np.random.default_rng(17).standard_normal((1, cfg.M, cfg.N))
+        pairs = ((1, 6), (3, 8))
+        for low, high in pairs:
+            if which == "energy":
+                z[0, high] = z[0, low]
+            else:  # busy slot, unit variance: samples z + 1, mirrored as -(z + 1)
+                z[0, high] = -z[0, low] - 2.0
+
+        class StubRng:
+            def random(self, n):
+                return np.full(n, 0.75)  # >= pi0: busy
+
+            def standard_normal(self, shape):
+                assert shape == z.shape
+                return z.copy()
+
+        truth, llr, ordered_values, order = draw_slots(cfg, StubRng(), 1)
+        assert truth[0] == 1
+        position = {int(sensor): k for k, sensor in enumerate(order[0])}
+        for low, high in pairs:
+            assert abs(llr[0, low]) == abs(llr[0, high])
+            assert position[high] == position[low] + 1
+        assert np.array_equal(ordered_values[0], llr[0, order[0]])
+
     def test_ordered_matches_rank_by_magnitude(self, scenario):
         truth, llr, ordered_values, order = draw_slots(scenario, np.random.default_rng(5), 50)
         for i in range(50):
