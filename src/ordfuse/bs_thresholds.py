@@ -55,7 +55,12 @@ def decide_batch(ordered_values: np.ndarray, config: ScenarioConfig, law: LlrLaw
         raise ValueError(f"need at least K={k_max} ordered values per slot")
     y = np.ascontiguousarray(y[:, :k_max].T)
     absy = np.abs(y)
-    running = np.cumsum(y, axis=0)
+    # running sums one contiguous row at a time: the same adds as
+    # np.cumsum(y, axis=0), whose inner loop runs down the strided stage axis
+    running = np.empty_like(y)
+    running[0] = y[0]
+    for k in range(1, k_max):
+        np.add(running[k - 1], y[k], out=running[k])
     logprior = config.log_prior_ratio()
     unreported = m_total - k_max
 

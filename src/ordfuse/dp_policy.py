@@ -210,29 +210,59 @@ def panels_from_edges(edges: np.ndarray):
 def _quadrature_edges(ensemble: SensorEnsemble, per_segment: int) -> np.ndarray:
     """Panel edges over the ensemble's effective support.
 
-    Panels never straddle the laws' breakpoints (zero, where the magnitude
-    ordering kinks the densities, and the support reflections at +-shift),
-    and the left edge gets geometric refinement for the integrable endpoint
-    singularity of low-dof chi-square laws.
+    Panels never straddle the laws' breakpoints: zero, where the magnitude
+    ordering kinks the densities, the support reflections at +-shift, and
+    `mid`, the largest upper 1e-6 point of a law. A law whose own 1e-6
+    point lies below an eighth of the last such breakpoint adds its own, so
+    the tail above `mid` cannot swallow a narrower law's bulk. Below `mid`,
+    a segment gets edges in proportion to its width: `per_segment` once it
+    is as wide as the smallest shift, and never fewer than two. A
+    shift-in-mean left tail keeps `per_segment` uniform edges, and the tail
+    above `mid` gets `per_segment` geometric ones. An energy law's support
+    starts at -shift, where its chi-square density has an integrable
+    endpoint singularity. The leftmost start gets 40 halvings of its
+    segment's left half. Every other start gets halvings of its segment's
+    first panel: 40 for one-dof laws, whose density is unbounded there, and
+    8 for the rest. Identical sensors have no other start and one `mid`,
+    and each of their segments below `mid` but a left tail is one shift
+    wide, so their layout is the plain `per_segment` one.
     """
-    ranges = [law.effective_range(1e-12) for law in ensemble.laws]
+    laws = ensemble.laws
+    ranges = [law.effective_range(1e-12) for law in laws]
     lo = min(r[0] for r in ranges)
     hi = max(r[1] for r in ranges)
-    mid = min(max(law.effective_range(1e-6)[1] for law in ensemble.laws), hi)
+    mid = min(max(law.effective_range(1e-6)[1] for law in laws), hi)
     breakpoints = {0.0, mid}
-    for law in ensemble.laws:
+    cut = mid
+    for m in sorted((law.effective_range(1e-6)[1] for law in laws), reverse=True):
+        if 0.0 < m < cut / 8.0:
+            breakpoints.add(m)
+            cut = m
+    for law in laws:
         breakpoints.update((-law.shift, law.shift))
     pts = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
+    s_min = min(law.shift for law in laws)
+    halvings = {  # energy support start -> grading depth
+        -law.shift: 40 if law.dof == 1 else 8
+        for law in laws
+        if law.model is MeasurementModel.ENERGY_CHI_SQUARE
+    }
     pieces = []
     for i, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
+        width = q - p
+        if i > 0 and q >= mid:
+            pieces.append(p + width * np.expm1(np.linspace(0.0, 1.0, per_segment) * math.log(8.0)) / 7.0)
+            continue
+        count = per_segment
+        if i > 0 or p in halvings:  # not a shift-in-mean left tail
+            count = min(per_segment, max(2, math.ceil(per_segment * width / s_min)))
         if i == 0:
-            width = q - p
             pieces.append(p + width * 0.5 ** np.arange(40, 0, -1))
-            pieces.append(np.linspace(p + 0.5 * width, q, per_segment))
-        elif q >= mid:
-            pieces.append(p + (q - p) * np.expm1(np.linspace(0.0, 1.0, per_segment) * math.log(8.0)) / 7.0)
+            pieces.append(np.linspace(p + 0.5 * width, q, count))
         else:
-            pieces.append(np.linspace(p, q, per_segment))
+            panel = width / (count - 1)
+            pieces.append(p + panel * 0.5 ** np.arange(halvings.get(p, 0), 0, -1))
+            pieces.append(np.linspace(p, q, count))
     return np.unique(np.concatenate([[lo], *pieces, [hi]]))
 
 

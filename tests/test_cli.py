@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -469,6 +470,23 @@ class TestMain:
     def test_dp_on_non_identical_sensors_validates(self, tmp_path):
         cfg = _write(tmp_path, "[scenario]\nM = 4\nsigma2_s = 1, 2, 3, 4\n[experiment]\ndetector = dp\n")
         assert main(["validate", "--config", str(cfg)]) == 0
+
+    def test_dp_on_non_identical_one_sample_sensors_runs(self, tmp_path):
+        # at N = 1 every law's density is unbounded at its support start,
+        # which the solve's quadrature must still integrate
+        cfg = _write(
+            tmp_path,
+            "[scenario]\nM = 6\nK = 4\nN = 1\nsigma2_s = 1.0, 1.5, 2.0, 2.5, 3.0, 3.5\n"
+            "[experiment]\ndetector = dp\ntrials = 2000\n",
+        )
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--preset", "custom", "--out", str(out)]) == 0
+        with open(out / "custom.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["detector"] == "dp"
+        values = [float(v) for key, v in rows[0].items() if key != "detector"]
+        assert all(math.isfinite(v) for v in values)
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_removed_detector_kind_exit_2(self, tmp_path, capsys, command):

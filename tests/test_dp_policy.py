@@ -249,6 +249,73 @@ class TestSolveBackward:
         assert np.all(interior == Action.CONTINUE)
 
 
+# the dp benchmark's non-identical scenario: sigma2_s 1.0, 1.2, ..., 4.0
+_M16 = {"M": 16, "sigma2_s": tuple(round(1.0 + 0.2 * i, 1) for i in range(16))}
+
+
+def _uniform_edges(ensemble, per_segment):
+    """`per_segment` uniform edges in every segment between the breakpoints
+    and the support ends: no grading and no sizing by width."""
+    ranges = [law.effective_range(1e-12) for law in ensemble.laws]
+    lo = min(r[0] for r in ranges)
+    hi = max(r[1] for r in ranges)
+    cuts = {0.0}.union(*({-law.shift, law.shift} for law in ensemble.laws))
+    pts = [lo] + sorted(p for p in cuts if lo < p < hi) + [hi]
+    return np.unique(np.concatenate([np.linspace(p, q, per_segment) for p, q in zip(pts[:-1], pts[1:])]))
+
+
+class TestQuadratureLayout:
+    @pytest.mark.parametrize(
+        "overrides, n_nodes",
+        [
+            ({}, 2144),
+            ({"N": 1}, 2144),
+            ({"measurement_model": MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
+              "mu0": (-1.0,) * 10, "mu1": (1.0,) * 10}, 2512),
+            # shift 320: the left tail is narrower than the shift
+            ({"N": 40, "measurement_model": MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
+              "mu0": (-2.0,) * 10, "mu1": (2.0,) * 10}, 2480),
+        ],
+        ids=["energy", "energy-N1", "shift", "shift-320"],
+    )
+    def test_identical_sensor_node_count(self, overrides, n_nodes):
+        # identical sensors keep the layout of one panel count per segment
+        nodes, *_ = dp._quadrature_rank_densities(default_scenario(**overrides))
+        assert nodes.size == n_nodes
+
+    def test_non_identical_masses_and_node_budget(self, non_identical):
+        for cfg, budget in ((default_scenario(**_M16), 5000), (non_identical[0], 4000)):
+            nodes, _, _, _, mass_error = dp._quadrature_rank_densities(cfg)
+            assert mass_error <= 1e-8
+            assert nodes.size <= budget
+
+    @pytest.mark.parametrize(
+        "n_samples, sigma2_s",
+        [(3, np.geomspace(1e-3, 1e4, 6)), (1, np.geomspace(0.1, 1e3, 6))],
+        ids=["N3-snr-1e-3-to-1e4", "N1-snr-0.1-to-1e3"],
+    )
+    def test_signal_powers_decades_apart_converge(self, n_samples, sigma2_s):
+        # the weakest laws' bulk ends decades below the strongest law's tail
+        cfg = default_scenario(M=6, K=4, N=n_samples, sigma2_s=tuple(sigma2_s))
+        *_, mass_error = dp._quadrature_rank_densities(cfg)
+        assert mass_error <= 1e-6
+
+    def test_non_identical_decides_as_uniform_layout(self, monkeypatch, non_identical):
+        """Width-sized, graded panels give the actions and thresholds of a
+        solve on uniform panels with more nodes."""
+        for cfg in (default_scenario(**_M16), non_identical[0]):
+            for cost_model in (CostModel.error_min(c=0.0001), CostModel.throughput(c=0.0001)):
+                sized = solve_backward(cfg, cost_model)
+                with monkeypatch.context() as m:
+                    m.setattr(dp, "_quadrature_edges", _uniform_edges)
+                    uniform = solve_backward(cfg, cost_model)
+                assert uniform.diagnostics["nodes"] > sized.diagnostics["nodes"]
+                assert np.array_equal(sized.actions, uniform.actions)
+                assert np.array_equal(sized.pi_low, uniform.pi_low)
+                assert np.array_equal(sized.pi_high, uniform.pi_high)
+                np.testing.assert_allclose(sized.values, uniform.values, rtol=0, atol=1e-5)
+
+
 def _assert_matches_dense(monkeypatch, cfg, cost_model, grid_size=1001):
     """Solve with `reference.dense_continuation` as the continuation, and with
     the runtime one.
@@ -313,8 +380,8 @@ class TestContinuation:
         assert digests[0] == digests[1]
 
     def test_peak_memory_is_bounded(self):
-        # the M=16 non-identical solve's size: 13,184 nodes on the 1001-point
-        # grid, where one dense grid x node array alone is about 105 MB
+        # 13,184 nodes on the 1001-point grid, more than any solve the tests
+        # run, where one dense grid x node array alone is about 105 MB
         rng = np.random.default_rng(71)
         n_nodes = 13_184
         grid = _belief_grid(1001)
