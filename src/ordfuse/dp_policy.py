@@ -251,7 +251,11 @@ def _quadrature_edges(ensemble: SensorEnsemble, per_segment: int) -> np.ndarray:
     for i, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
         width = q - p
         if i > 0 and q >= mid:
-            pieces.append(p + width * np.expm1(np.linspace(0.0, 1.0, per_segment) * math.log(8.0)) / 7.0)
+            geometric = p + width * np.expm1(np.linspace(0.0, 1.0, per_segment) * math.log(8.0)) / 7.0
+            # the rounded ratio ends an ulp short of one, which can leave an
+            # edge an ulp from q and so a panel of zero width
+            geometric[-1] = q
+            pieces.append(geometric)
             continue
         count = per_segment
         if i > 0 or p in halvings:  # not a shift-in-mean left tail

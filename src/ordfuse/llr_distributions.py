@@ -16,8 +16,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import erfcx_table
 from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -31,6 +31,17 @@ _TABLE_TOLERANCE = 1e-12
 # the closed-form tail takes the log of x clipped here, far past any tail
 # above 1e-300, so that x = inf gives a zero tail and not inf - inf
 _X_MAX = 1e300
+# erfcx on the pieces of `erfcx_table`, highest power first for Horner's
+# rule, as arrays and as lists of Python floats for scalars
+_ERFCX_ROWS = np.frombuffer(erfcx_table.ROWS, dtype="<f8").reshape(-1, erfcx_table.PIECES)[::-1]
+_ERFCX_FLOATS = _ERFCX_ROWS.tolist()
+_SQRT_HALF = math.sqrt(0.5)
+# larger arrays take the tails in slices of this many points, which keep the
+# dozens of array passes of a tail in cache
+_TAIL_CHUNK = 8192
+# a tail inversion stops once a Newton step moves x by at most this many ulps
+_NEWTON_ULPS = 4.0
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -88,9 +99,9 @@ class LlrLaw:
     def effective_range(self, tail_mass: float = 1e-12) -> tuple[float, float]:
         """Interval holding all but `tail_mass` of Y under either hypothesis."""
         if self.model is MeasurementModel.ENERGY_CHI_SQUARE:
-            q_hi = 2.0 * special.gammainccinv(0.5 * self.dof, tail_mass)
+            q_hi = _chi2_upper_quantile(self.dof, tail_mass)
             return -self.shift, max(self.scale0, self.scale1) * q_hi - self.shift
-        spread = self.scale0 * math.sqrt(2.0) * special.erfcinv(tail_mass)
+        spread = self.scale0 * math.sqrt(2.0) * _erfc_inverse(tail_mass)
         return -self.shift - spread, self.shift + spread
 
 
@@ -113,13 +124,23 @@ def _chi2_tail(q, dof: int, upper: bool):
 
     With x = q/2 and a = dof/2, the upper tail is computed directly at and
     above the mean (x >= a), in closed form, and the lower tail below it, by
-    scipy; the other tail is the complement, so the two tails add to one
-    within one rounding."""
+    its power series; the other tail is the complement, so the two tails add
+    to one within one rounding. Arrays of more than `_TAIL_CHUNK` points are
+    taken in slices."""
+    if not (isinstance(q, np.ndarray) and q.ndim):
+        # a scalar, as a Python float: its arithmetic costs a tenth of a 0-d
+        # array's
+        x = max(float(q), 0.0) * 0.5
+        return _one_side_tail(x, dof, upper, above=x >= 0.5 * dof)
+    if q.size > _TAIL_CHUNK:
+        return _in_chunks(lambda part: _chi2_tail(part, dof, upper), q)
+    if not q.size:
+        # `exceed_prob` passes the points inside the support, often none
+        return np.empty(q.shape)
     x = np.maximum(q, 0.0) * 0.5
     above = x >= 0.5 * dof
-    # an input wholly on one side of the mean needs no mask and no scatter;
-    # on a scalar, count_nonzero would cost as much as the tail itself
-    n_above = int(above) if above.ndim == 0 else np.count_nonzero(above)
+    # an input wholly on one side of the mean needs no mask and no scatter
+    n_above = np.count_nonzero(above)
     if n_above in (0, above.size):
         return _one_side_tail(x, dof, upper, above=n_above > 0)
     out = np.empty_like(x)
@@ -128,23 +149,34 @@ def _chi2_tail(q, dof: int, upper: bool):
     return out
 
 
+def _in_chunks(f, x: np.ndarray) -> np.ndarray:
+    """f on x in slices of `_TAIL_CHUNK` points. Each point's steps do not
+    depend on the slice it is in, so the bits are those of f on all of x."""
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _TAIL_CHUNK):
+        out[start : start + _TAIL_CHUNK] = f(flat[start : start + _TAIL_CHUNK])
+    return out.reshape(x.shape)
+
+
 def _one_side_tail(x, dof: int, upper: bool, above: bool):
     """The requested tail at points x that all lie above the mean, or all below it."""
     if above:
         direct = _chi2_upper_above_mean(x, dof)
     else:
-        direct = special.gammainc(0.5 * dof, x)
+        direct = _chi2_lower_below_mean(x, dof)
     return direct if upper == above else 1.0 - direct
 
 
 def _chi2_upper_above_mean(x, dof: int):
     """Pr(chi2_dof > 2x) at x >= dof/2 in closed form (Abramowitz & Stegun
     26.4.4-26.4.5): the sum of e^-x x^p / Gamma(p+1) over p = dof/2 - 1,
-    dof/2 - 2, ... down to 0 or 1/2, plus erfc(sqrt(x)) for odd dof.
+    dof/2 - 2, ... down to 0 or 1/2, plus erfc(sqrt(x)) = e^-x erfcx(sqrt(x))
+    for odd dof.
 
     Each term is p/x times the one before it, less than one at x >= dof/2,
     so the sum runs from the largest term down and nothing overflows. The
-    cost grows with dof: at dof >= 200 scipy's `gammaincc` is faster."""
+    cost grows with dof, about three array passes per term."""
     p = 0.5 * dof - 1.0
     total = 0.0
     if p >= 0.0:
@@ -155,8 +187,142 @@ def _chi2_upper_above_mean(x, dof: int):
         total = total + term
         p -= 1.0
     if dof % 2:
-        total = total + special.erfc(np.sqrt(x))
+        total = total + np.exp(-x) * _erfcx(np.sqrt(x))
     return total
+
+
+def _chi2_lower_below_mean(x, dof: int):
+    """Pr(chi2_dof <= 2x) at 0 <= x <= dof/2 from its power series (DLMF
+    8.7.1): x^a e^-x / Gamma(a+1) times the sum over n >= 0 of
+    x^n / ((a+1)...(a+n)), a = dof/2.
+
+    The sum is taken in t = x/a <= 1 by Horner's rule on the coefficients of
+    `_lower_series`, one multiply and one add per term; x = 0 gives zero."""
+    a = 0.5 * dof
+    coeffs = _lower_series(dof)
+    t = x / a
+    total = t * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        total += c
+        total *= t
+    total += 1.0
+    if isinstance(x, float):
+        log_x = np.log(x) if x > 0.0 else -math.inf
+    else:
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+    return np.exp(a * log_x - x - math.lgamma(a + 1.0)) * total
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_series(dof: int) -> tuple[float, ...]:
+    """Coefficients a^n / ((a+1)...(a+n)) of the lower-tail series in t = x/a,
+    a = dof/2, for n = 0, 1, ... while what the later terms could add at
+    t = 1 is at least 2^-54 of the sum, which is at least one.
+
+    Each is dof^n / ((dof+2)(dof+4)...(dof+2n)), a ratio of integers, so it
+    is correctly rounded. Each term is a/(a+n+1) < 1 times the one before,
+    so the terms after term n add less than a/(n+1) times term n."""
+    coeffs = [1.0]
+    num = den = 1
+    n = 0
+    while coeffs[-1] * 0.5 * dof / (n + 1) >= 2.0**-54:
+        n += 1
+        num *= dof
+        den *= dof + 2 * n
+        coeffs.append(num / den)
+    return tuple(coeffs)
+
+
+def _erfcx(v):
+    """exp(v^2) erfc(v) at v >= 0 from the piecewise polynomials of
+    `erfcx_table`, within 5 ulps where exp(-v^2) does not underflow.
+
+    The piece is read off s = PIECES * SCALE / (SCALE + v) in [0, PIECES];
+    v = 0 is the end of the last piece, and NaN, which picks the last piece
+    too, gives NaN."""
+    pieces = erfcx_table.PIECES
+    s = (pieces * erfcx_table.SCALE) / (erfcx_table.SCALE + v)
+    if isinstance(v, float):
+        # a scalar: the same steps in Python arithmetic
+        s = float(s)
+        if math.isnan(s):
+            return s
+        start = float(math.floor(min(s, pieces - 0.5)))
+        piece = int(start)
+        rows = _ERFCX_FLOATS
+    else:
+        start = np.floor(np.fmin(s, pieces - 0.5))
+        piece = start.astype(np.intp)
+        rows = _ERFCX_ROWS
+    t = s - start
+    out = rows[0][piece]
+    for row in rows[1:]:
+        out *= t
+        out += row[piece]
+    return out
+
+
+def _ndtr(z):
+    """Pr(Z <= z) for a standard normal Z: half of
+    erfc(|z|/sqrt(2)) = exp(-z^2/2) erfcx(|z|/sqrt(2)) below zero, one minus
+    that above it. Arrays of more than `_TAIL_CHUNK` points are taken in
+    slices."""
+    if isinstance(z, np.ndarray) and z.size > _TAIL_CHUNK:
+        return _in_chunks(_ndtr, z)
+    half_tail = 0.5 * np.exp(-0.5 * z * z) * _erfcx(np.abs(z) * _SQRT_HALF)
+    return np.where(z < 0.0, half_tail, 1.0 - half_tail)
+
+
+def _invert_tail(tail, density, tail_mass: float, x: float) -> float:
+    """The x > 0 at which a falling tail, with derivative -density, equals
+    `tail_mass`: Newton's method on log tail(x) from `x`, each step at most
+    halving x.
+
+    Far out, log tail(x) is near-linear, concave for a log-concave density
+    and convex otherwise, so after at most one jump across the root the
+    steps approach it monotonically. They stop within _NEWTON_ULPS ulps, or
+    once a step under 1e-10 x is no shorter than the one before: the
+    rounding of the tail then moves x more than the method does."""
+    moved = math.inf
+    for _ in range(_NEWTON_STEPS):
+        value = tail(x)
+        # where the tail underflows, x is far right of the root: halve it
+        step = math.log(value / tail_mass) * value / density(x) if value > 0.0 else -x
+        x_next = max(x + step, 0.5 * x)
+        last, moved = moved, abs(x_next - x)
+        if moved <= _NEWTON_ULPS * np.spacing(x_next) or last <= moved <= 1e-10 * x_next:
+            return x_next
+        x = x_next
+    raise ArithmeticError(f"tail inversion at tail mass {tail_mass} did not converge")
+
+
+@functools.lru_cache(maxsize=None)
+def _erfc_inverse(tail_mass: float) -> float:
+    """The v >= 0 with erfc(v) = tail_mass, for 0 < tail_mass <= 1. It lies
+    left of sqrt(-log tail_mass), as erfc(v) < exp(-v^2)."""
+    return _invert_tail(
+        math.erfc,
+        lambda v: 2.0 / math.sqrt(math.pi) * math.exp(-v * v),
+        tail_mass,
+        math.sqrt(-math.log(tail_mass)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _chi2_upper_quantile(dof: int, tail_mass: float) -> float:
+    """The q with Pr(chi2_dof > q) = tail_mass, for 0 < tail_mass < 1/2:
+    Newton's method in x = q/2, from the Wilson-Hilferty approximation."""
+    a = 0.5 * dof
+    z = math.sqrt(2.0) * _erfc_inverse(2.0 * tail_mass)
+    k = 2.0 / (9.0 * dof)
+    x = _invert_tail(
+        lambda x: float(_chi2_sf(2.0 * x, dof)),
+        lambda x: math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a)),
+        tail_mass,
+        a * (1.0 - k + z * math.sqrt(k)) ** 3,
+    )
+    return 2.0 * x
 
 
 def llr_pdf(y, hyp: Hypothesis, law: LlrLaw):
@@ -167,7 +333,7 @@ def llr_pdf(y, hyp: Hypothesis, law: LlrLaw):
         q = (y + law.shift) / s
         half = 0.5 * law.dof
         with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = (half - 1.0) * np.log(q) - 0.5 * q - special.gammaln(half) - half * math.log(2.0)
+            logpdf = (half - 1.0) * np.log(q) - 0.5 * q - math.lgamma(half) - half * math.log(2.0)
         out = np.where(q > 0.0, np.exp(logpdf) / s, 0.0)
     else:
         mean = -law.shift if hyp == Hypothesis.H0 else law.shift
@@ -183,7 +349,7 @@ def llr_cdf(y, hyp: Hypothesis, law: LlrLaw):
         out = _chi2_cdf((y + law.shift) / law.scale(hyp), law.dof)
     else:
         mean = -law.shift if hyp == Hypothesis.H0 else law.shift
-        out = special.ndtr((y - mean) / law.scale0)
+        out = _ndtr((y - mean) / law.scale0)
     return out if out.ndim else float(out)
 
 
@@ -193,11 +359,17 @@ def exceed_prob(b, hyp: Hypothesis, law: LlrLaw):
     if law.model is MeasurementModel.ENERGY_CHI_SQUARE:
         s = law.scale(hyp)
         upper = _chi2_sf((a + law.shift) / s, law.dof)
-        lower = _chi2_cdf((law.shift - a) / s, law.dof)
+        # the lower tail is zero where |b| >= shift, at chi-square argument <= 0
+        if a.ndim == 0:
+            lower = _chi2_cdf((law.shift - a) / s, law.dof) if a < law.shift else 0.0
+        else:
+            lower = np.zeros_like(a)
+            inside = a < law.shift
+            lower[inside] = _chi2_cdf((law.shift - a[inside]) / s, law.dof)
     else:
         mean = -law.shift if hyp == Hypothesis.H0 else law.shift
-        upper = special.ndtr(-(a - mean) / law.scale0)
-        lower = special.ndtr((-a - mean) / law.scale0)
+        upper = _ndtr(-(a - mean) / law.scale0)
+        lower = _ndtr((-a - mean) / law.scale0)
     out = upper + lower
     return out if out.ndim else float(out)
 
@@ -232,10 +404,15 @@ def _log_central_mass(a, hyp: Hypothesis, law: LlrLaw):
     where the mass nears one and the tail keeps the precision."""
     flat = a.ravel()
     below = flat < _half_mass_magnitude(law, hyp)
+    n_below = np.count_nonzero(below)
     out = np.empty_like(flat)
+    # a branch without points is skipped: a tail costs dozens of array
+    # passes, on an empty array too
     with np.errstate(divide="ignore"):
-        out[below] = np.log(np.maximum(central_mass(flat[below], hyp, law), _TINY_MASS))
-        out[~below] = np.log1p(-np.minimum(exceed_prob(flat[~below], hyp, law), 1.0))
+        if n_below:
+            out[below] = np.log(np.maximum(central_mass(flat[below], hyp, law), _TINY_MASS))
+        if n_below < flat.size:
+            out[~below] = np.log1p(-np.minimum(exceed_prob(flat[~below], hyp, law), 1.0))
     return out.reshape(a.shape)
 
 

@@ -156,11 +156,11 @@ def compare_with_block_oracle(
 
 def chi2_tails(q, dof: int):
     """(lower, upper) tail of the chi-square law with `dof` degrees of freedom
-    at q, each from scipy's regularized incomplete gamma function at every
-    point (`llr_distributions._chi2_cdf` and `_chi2_sf` compute the tail
-    that lies away from the mean directly, the upper one above the mean in
-    closed form and the lower one below it, and the other as its
-    complement)."""
+    at q, each from scipy's regularized incomplete gamma functions at every
+    point (`llr_distributions._chi2_cdf` and `_chi2_sf` compute, without
+    scipy, the tail that lies away from the mean directly, the upper one
+    above the mean in closed form and the lower one below it by its power
+    series, and the other as its complement)."""
     x = np.maximum(np.asarray(q, dtype=float), 0.0) * 0.5
     return special.gammainc(0.5 * dof, x), special.gammaincc(0.5 * dof, x)
 

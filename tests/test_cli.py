@@ -516,7 +516,7 @@ class TestMain:
             f"quadrature mass error {diag['quadrature_mass_error']:.4g}, "
             f"{diag['nodes']} nodes, grid size {diag['grid_size']}"
         )
-        assert diag["nodes"] == 2144
+        assert diag["nodes"] == 2112
         assert diag["grid_size"] == 1001
 
     def test_solve_one_threshold_flag(self, tmp_path):

@@ -268,10 +268,10 @@ class TestQuadratureLayout:
     @pytest.mark.parametrize(
         "overrides, n_nodes",
         [
-            ({}, 2144),
-            ({"N": 1}, 2144),
+            ({}, 2112),
+            ({"N": 1}, 2112),
             ({"measurement_model": MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
-              "mu0": (-1.0,) * 10, "mu1": (1.0,) * 10}, 2512),
+              "mu0": (-1.0,) * 10, "mu1": (1.0,) * 10}, 2480),
             # shift 320: the left tail is narrower than the shift
             ({"N": 40, "measurement_model": MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
               "mu0": (-2.0,) * 10, "mu1": (2.0,) * 10}, 2480),
@@ -282,6 +282,15 @@ class TestQuadratureLayout:
         # identical sensors keep the layout of one panel count per segment
         nodes, *_ = dp._quadrature_rank_densities(default_scenario(**overrides))
         assert nodes.size == n_nodes
+
+    @pytest.mark.parametrize("per_segment", [24, 48])
+    def test_no_panel_of_zero_width(self, non_identical, per_segment):
+        # the geometric tail edges end exactly on their segment's end, so no
+        # edge lands an ulp from a breakpoint
+        configs = (default_scenario(), default_scenario(N=1), default_scenario(**_M16), non_identical[0])
+        for cfg in configs:
+            edges = dp._quadrature_edges(SensorEnsemble.from_config(cfg), per_segment)
+            assert np.all(np.diff(edges) > 4.0 * np.spacing(np.abs(edges[1:])))
 
     def test_non_identical_masses_and_node_budget(self, non_identical):
         for cfg, budget in ((default_scenario(**_M16), 5000), (non_identical[0], 4000)):
@@ -590,7 +599,7 @@ class TestSerialization:
         assert resaved.read_bytes() == path.read_bytes()
         assert loaded.diagnostics == policy_throughput_default.diagnostics
         assert set(loaded.diagnostics) == {"quadrature_mass_error", "nodes", "grid_size"}
-        assert loaded.diagnostics["nodes"] == 2144
+        assert loaded.diagnostics["nodes"] == 2112
         assert loaded.diagnostics["grid_size"] == policy_throughput_default.grid.size == 1001
         assert 0.0 <= loaded.diagnostics["quadrature_mass_error"] <= 1e-6
         assert concavity_check(loaded)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from ordfuse import llr_distributions
@@ -13,6 +14,7 @@ from ordfuse.llr_distributions import (
     LlrLaw,
     _chi2_cdf,
     _chi2_sf,
+    _erfcx,
     _half_mass_magnitude,
     central_mass,
     correction_term,
@@ -54,8 +56,9 @@ def _tail_points(dof):
 
 
 class TestChi2Tails:
-    """The closed-form upper tail above the mean and scipy's lower tail below
-    it, each with its complement, against scipy's pair at every point."""
+    """The closed-form upper tail above the mean and the power-series lower
+    tail below it, each with its complement, against scipy's pair at every
+    point."""
 
     @pytest.mark.parametrize("dof", TAIL_DOFS)
     def test_match_scipy_oracle(self, dof):
@@ -89,6 +92,30 @@ class TestChi2Tails:
             assert tail(q, dof) == want
             assert tail(np.asarray(q), dof) == want
 
+    @pytest.mark.parametrize("dof", (1, 3, 40, 41))
+    def test_scalar_matches_array(self, dof):
+        # a scalar takes the tails in Python floats, with the steps and so
+        # the bits of the array path
+        q = _tail_points(dof)
+        for tail in (_chi2_cdf, _chi2_sf):
+            assert np.array_equal([tail(v, dof) for v in q], tail(q, dof))
+
+    def test_empty_input(self):
+        for tail in (_chi2_cdf, _chi2_sf):
+            assert tail(np.empty((2, 0)), 3).shape == (2, 0)
+        assert correction_term(np.empty(0), LlrLaw.energy(3, 2.0)).shape == (0,)
+
+    @pytest.mark.parametrize("dof", (3, 40))
+    def test_chunked_matches_unchunked(self, dof, monkeypatch):
+        # an array larger than a chunk is taken in slices, with the bits of
+        # one pass over the whole array
+        q = np.random.default_rng(3).chisquare(dof, 5000)
+        want = [tail(q, dof) for tail in (_chi2_cdf, _chi2_sf)]
+        monkeypatch.setattr(llr_distributions, "_TAIL_CHUNK", 700)
+        for tail, expected in zip((_chi2_cdf, _chi2_sf), want):
+            assert np.array_equal(tail(q, dof), expected)
+            assert np.array_equal(tail(q.reshape(50, 100), dof), expected.reshape(50, 100))
+
     @pytest.mark.parametrize("dof", (2, 3, 40))
     def test_mixed_input_matches_each_side_alone(self, dof):
         # an input on both sides of the mean is split, computed per side and
@@ -103,6 +130,99 @@ class TestChi2Tails:
     def test_energy_law_rejects_non_integer_dof(self):
         with pytest.raises(ValueError, match="integer dof"):
             LlrLaw.energy(2.5, 2.0)
+
+
+class TestErfcx:
+    """The tabled erfcx against scipy's over the range where exp(-v^2) does
+    not underflow. Each is within about 8 ulps of the exact value, so they
+    agree within 4e-15."""
+
+    def test_matches_scipy(self):
+        v = np.concatenate([[0.0], np.logspace(-12.0, math.log10(27.3), 4001),
+                            np.linspace(0.0, 27.3, 4001)])
+        assert np.max(np.abs(_erfcx(v) - special.erfcx(v)) / special.erfcx(v)) <= 4e-15
+
+    def test_ends_and_nan(self):
+        got = _erfcx(np.array([np.inf, 1e300, np.nan]))
+        assert np.all(np.isfinite(got[:2])) and np.isnan(got[2])
+        assert math.isnan(_erfcx(math.nan))
+
+    def test_float_matches_array(self):
+        v = np.concatenate([[0.0, 1e-300], np.logspace(-8.0, 3.0, 200)])
+        assert np.array_equal([_erfcx(float(x)) for x in v], _erfcx(v))
+
+
+SHIFT_LAWS = [
+    pytest.param(LlrLaw.shift_in_mean(3, 0.0, mu1, 1.0), id=f"shift-mu1-{mu1:g}")
+    for mu1 in (0.1, 1.0, 3.0)
+]
+
+
+class TestNormalTails:
+    """The shift-in-mean cdf and magnitude tail against scipy's `ndtr`. Both
+    round z^2/2 in exp(-z^2/2), which moves a tail of 1e-300 by up to about
+    2.5e-13 of itself in scipy and 1e-13 here, so they agree within 5e-13
+    wherever the oracle is at least 1e-300."""
+
+    @staticmethod
+    def _means(law):
+        return ((H0, -law.shift), (H1, law.shift))
+
+    @pytest.mark.parametrize("law", SHIFT_LAWS)
+    def test_cdf_matches_ndtr(self, law):
+        for hyp, mean in self._means(law):
+            z = np.concatenate([np.linspace(-38.0, 9.0, 4001), np.linspace(-1.0, 1.0, 401)])
+            y = mean + law.scale0 * z
+            want = special.ndtr((y - mean) / law.scale0)
+            got = llr_cdf(y, hyp, law)
+            kept = want >= 1e-300
+            assert np.all(np.abs(got[kept] - want[kept]) <= 5e-13 * want[kept])
+
+    @pytest.mark.parametrize("law", SHIFT_LAWS)
+    def test_exceed_prob_matches_ndtr(self, law):
+        for hyp, mean in self._means(law):
+            a = np.linspace(0.0, law.shift + 38.0 * law.scale0, 4001)
+            want = special.ndtr(-(a - mean) / law.scale0) + special.ndtr((-a - mean) / law.scale0)
+            got = exceed_prob(a, hyp, law)
+            kept = want >= 1e-300
+            assert np.all(np.abs(got[kept] - want[kept]) <= 5e-13 * want[kept])
+
+    def test_scalar_and_chunked_match_array(self, shift_law, monkeypatch):
+        # as for the chi-square tails: a scalar, or an array taken in slices,
+        # gets the bits of one pass over the whole array
+        y = np.linspace(-40.0, 40.0, 1001)
+        for f in (llr_cdf, exceed_prob):
+            want = f(y, H0, shift_law)
+            assert np.array_equal([f(v, H0, shift_law) for v in y], want)
+            with monkeypatch.context() as patch:
+                patch.setattr(llr_distributions, "_TAIL_CHUNK", 90)
+                assert np.array_equal(f(y, H0, shift_law), want)
+
+
+TAIL_MASSES = (1e-6, 1e-12, 1e-14)
+
+
+class TestEffectiveRange:
+    """The quantiles that bound each law's support, solved by Newton's method
+    on the tails, against scipy's inverses: within 2e-15, a few ulps."""
+
+    @pytest.mark.parametrize("tail_mass", TAIL_MASSES)
+    @pytest.mark.parametrize("dof", TAIL_DOFS)
+    def test_energy_matches_gammainccinv(self, dof, tail_mass):
+        law = LlrLaw.energy(dof, 2.0)
+        lo, hi = law.effective_range(tail_mass)
+        assert lo == -law.shift
+        q_hi = 2.0 * special.gammainccinv(0.5 * dof, tail_mass)
+        assert hi == pytest.approx(law.scale1 * q_hi - law.shift, rel=2e-15)
+
+    @pytest.mark.parametrize("tail_mass", TAIL_MASSES)
+    @pytest.mark.parametrize("dof", TAIL_DOFS)
+    def test_shift_in_mean_matches_erfcinv(self, dof, tail_mass):
+        law = LlrLaw.shift_in_mean(dof, -1.0, 1.0, 4.0)
+        lo, hi = law.effective_range(tail_mass)
+        spread = law.scale0 * math.sqrt(2.0) * special.erfcinv(tail_mass)
+        assert lo == pytest.approx(-law.shift - spread, rel=2e-15)
+        assert hi == pytest.approx(law.shift + spread, rel=2e-15)
 
 
 class TestPdfCdf:
@@ -243,10 +363,7 @@ def _two_branch_term(y, law):
 BRANCH_LAWS = [
     pytest.param(LlrLaw.energy(dof, snr), id=f"energy-N{dof}-snr{snr:g}")
     for dof in (1, 2, 3, 8, 40) for snr in (0.05, 2.0, 50.0)
-] + [
-    pytest.param(LlrLaw.shift_in_mean(3, 0.0, mu1, 1.0), id=f"shift-mu1-{mu1:g}")
-    for mu1 in (0.1, 1.0, 3.0)
-]
+] + SHIFT_LAWS
 
 
 class TestBranchRule:
@@ -268,7 +385,14 @@ class TestBranchRule:
         want = _two_branch_term(ys, law)
         near = np.any(np.abs(ys[:, None] - halves) <= 1e-12 * halves, axis=1)
         assert np.array_equal(got[~near], want[~near])
-        assert np.max(np.abs(got[near] - want[near])) <= 4.5e-16
+        # near a half-mass magnitude the two rules may pick different
+        # branches, whose log masses differ by at most 4.5e-16; the term, a
+        # difference of two log masses, can round to a neighbouring ulp of
+        # itself, so the bound is on each log mass
+        for hyp in (H0, H1):
+            by_magnitude = llr_distributions._log_central_mass(ys[near], hyp, law)
+            by_mass = log_central_mass(ys[near], hyp, law)
+            assert np.max(np.abs(by_magnitude - by_mass)) <= 4.5e-16
 
     @pytest.mark.parametrize("law", BRANCH_LAWS)
     @pytest.mark.parametrize("hyp", [H0, H1])

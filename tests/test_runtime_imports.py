@@ -1,0 +1,49 @@
+"""The runtime needs numpy only: importing the package and running every CLI
+command loads no scipy module. scipy serves `ordfuse.reference` and the
+tests, and its import would double the start-up time of each command."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ordfuse
+
+SCRIPT = """
+import json, sys
+from pathlib import Path
+import ordfuse
+import ordfuse.cli as cli
+
+out = Path(sys.argv[1])
+configs = {
+    "energy.ini": "[scenario]\\nM = 4\\nK = 3\\n[experiment]\\ntrials = 200\\n",
+    "dp.ini": "[scenario]\\nM = 4\\nK = 3\\n[experiment]\\ndetector = dp\\ntrials = 200\\n",
+    "shift.ini": "[scenario]\\nM = 4\\nK = 3\\nmeasurement_model = shift-in-mean\\n"
+                 "[experiment]\\ntrials = 200\\n",
+}
+for name, text in configs.items():
+    (out / name).write_text(text)
+commands = [
+    ["validate", "--config", out / "energy.ini"],
+    ["solve", "--config", out / "energy.ini", "--out", out / "policy.json"],
+    ["run", "--config", out / "energy.ini", "--preset", "custom", "--out", out / "bs"],
+    ["run", "--config", out / "dp.ini", "--preset", "custom", "--out", out / "dp"],
+    ["run", "--config", out / "shift.ini", "--preset", "custom", "--out", out / "shift"],
+]
+codes = [cli.main([str(arg) for arg in argv]) for argv in commands]
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(ordfuse.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    assert result["scipy"] == []
