@@ -105,6 +105,40 @@ class LlrLaw:
         return -self.shift - spread, self.shift + spread
 
 
+@dataclass(frozen=True, eq=False)
+class LawStack:
+    """Laws that share one model and dof, with their scales and shifts
+    stacked as (laws, 1) columns that broadcast against a row of points.
+    `llr_pdf` and `exceed_prob` evaluate a tuple of laws through it, one row
+    per law, with the element-wise steps and so the bits of each law alone."""
+
+    model: MeasurementModel
+    dof: int
+    scale0: np.ndarray
+    scale1: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def of(cls, laws) -> "LawStack":
+        model, dof = laws[0].model, laws[0].dof
+        if any(law.model is not model or law.dof != dof for law in laws):
+            raise ValueError("laws evaluated together must share one model and dof")
+
+        def column(name):
+            return np.array([getattr(law, name) for law in laws])[:, None]
+
+        return cls(model, dof, column("scale0"), column("scale1"), column("shift"))
+
+    def __len__(self) -> int:
+        return self.shift.shape[0]
+
+    def rows(self, start: int, stop: int) -> "LawStack":
+        return LawStack(self.model, self.dof, self.scale0[start:stop],
+                        self.scale1[start:stop], self.shift[start:stop])
+
+    scale = LlrLaw.scale
+
+
 def law_for_sensor(config: ScenarioConfig, sensor: int) -> LlrLaw:
     if config.measurement_model is MeasurementModel.ENERGY_CHI_SQUARE:
         return LlrLaw.energy(config.N, config.snr(sensor))
@@ -132,6 +166,11 @@ def _chi2_tail(q, dof: int, upper: bool):
         # array's
         x = max(float(q), 0.0) * 0.5
         return _one_side_tail(x, dof, upper, above=x >= 0.5 * dof)
+    if q.size == 1:
+        # a one-point array pays the call overhead of dozens of array
+        # passes, several times the scalar path's cost: it takes the scalar
+        # path and is reshaped
+        return np.reshape(_chi2_tail(q.item(), dof, upper), q.shape)
     if q.size > _TAIL_CHUNK:
         return _in_chunks(lambda part: _chi2_tail(part, dof, upper), q)
     if not q.size:
@@ -268,6 +307,9 @@ def _ndtr(z):
     erfc(|z|/sqrt(2)) = exp(-z^2/2) erfcx(|z|/sqrt(2)) below zero, one minus
     that above it. Arrays of more than `_TAIL_CHUNK` points are taken in
     slices."""
+    if isinstance(z, np.ndarray) and z.ndim and z.size == 1:
+        # as in `_chi2_tail`, one point takes the scalar path
+        return np.reshape(_ndtr(z.item()), z.shape)
     if isinstance(z, np.ndarray) and z.size > _TAIL_CHUNK:
         return _in_chunks(_ndtr, z)
     half_tail = 0.5 * np.exp(-0.5 * z * z) * _erfcx(np.abs(z) * _SQRT_HALF)
@@ -325,20 +367,44 @@ def _chi2_upper_quantile(dof: int, tail_mass: float) -> float:
     return 2.0 * x
 
 
-def llr_pdf(y, hyp: Hypothesis, law: LlrLaw):
-    """Density of the LLR at y under `hyp`; zero outside the support."""
+def _by_law(kernel, y, hyp: Hypothesis, law):
+    """`kernel(y, hyp, law)` for one `LlrLaw`; for a tuple of laws, or their
+    `LawStack`, one row per law.
+
+    The (law, point) block is taken in slices of whole rows, as many as fit
+    in `_TAIL_CHUNK` elements and at least one, so a tail's dozens of array
+    passes stay in cache and a call pays its per-pass overhead once per
+    slice, not once per law."""
     y = np.asarray(y, dtype=float)
+    if isinstance(law, LlrLaw):
+        return kernel(y, hyp, law)
+    stack = law if isinstance(law, LawStack) else LawStack.of(law)
+    points = y.ravel()
+    out = np.empty((len(stack), points.size))
+    step = max(1, _TAIL_CHUNK // max(points.size, 1))
+    for start in range(0, len(stack), step):
+        out[start : start + step] = kernel(points, hyp, stack.rows(start, start + step))
+    return out.reshape((len(stack),) + y.shape)
+
+
+def _pdf(y, hyp: Hypothesis, law):
     if law.model is MeasurementModel.ENERGY_CHI_SQUARE:
         s = law.scale(hyp)
         q = (y + law.shift) / s
         half = 0.5 * law.dof
         with np.errstate(divide="ignore", invalid="ignore"):
             logpdf = (half - 1.0) * np.log(q) - 0.5 * q - math.lgamma(half) - half * math.log(2.0)
-        out = np.where(q > 0.0, np.exp(logpdf) / s, 0.0)
-    else:
-        mean = -law.shift if hyp == Hypothesis.H0 else law.shift
-        z = (y - mean) / law.scale0
-        out = np.exp(-0.5 * z * z - _LOG_SQRT_2PI) / law.scale0
+        return np.where(q > 0.0, np.exp(logpdf) / s, 0.0)
+    mean = -law.shift if hyp == Hypothesis.H0 else law.shift
+    z = (y - mean) / law.scale0
+    return np.exp(-0.5 * z * z - _LOG_SQRT_2PI) / law.scale0
+
+
+def llr_pdf(y, hyp: Hypothesis, law):
+    """Density of the LLR at y under `hyp`; zero outside the support. For a
+    tuple of laws that share one model and dof, or their `LawStack`, one
+    row per law."""
+    out = _by_law(_pdf, y, hyp, law)
     return out if out.ndim else float(out)
 
 
@@ -353,9 +419,8 @@ def llr_cdf(y, hyp: Hypothesis, law: LlrLaw):
     return out if out.ndim else float(out)
 
 
-def exceed_prob(b, hyp: Hypothesis, law: LlrLaw):
-    """Pr(|Y| > |b| | hyp), the magnitude tail used by the order statistics."""
-    a = np.abs(np.asarray(b, dtype=float))
+def _exceed(y, hyp: Hypothesis, law):
+    a = np.abs(y)
     if law.model is MeasurementModel.ENERGY_CHI_SQUARE:
         s = law.scale(hyp)
         upper = _chi2_sf((a + law.shift) / s, law.dof)
@@ -363,14 +428,21 @@ def exceed_prob(b, hyp: Hypothesis, law: LlrLaw):
         if a.ndim == 0:
             lower = _chi2_cdf((law.shift - a) / s, law.dof) if a < law.shift else 0.0
         else:
-            lower = np.zeros_like(a)
             inside = a < law.shift
-            lower[inside] = _chi2_cdf((law.shift - a[inside]) / s, law.dof)
+            lower = np.zeros(inside.shape)
+            lower[inside] = _chi2_cdf(((law.shift - a) / s)[inside], law.dof)
     else:
         mean = -law.shift if hyp == Hypothesis.H0 else law.shift
         upper = _ndtr(-(a - mean) / law.scale0)
         lower = _ndtr((-a - mean) / law.scale0)
-    out = upper + lower
+    return upper + lower
+
+
+def exceed_prob(b, hyp: Hypothesis, law):
+    """Pr(|Y| > |b| | hyp), the magnitude tail used by the order statistics.
+    For a tuple of laws that share one model and dof, or their `LawStack`,
+    one row per law."""
+    out = _by_law(_exceed, b, hyp, law)
     return out if out.ndim else float(out)
 
 

@@ -7,12 +7,13 @@ subsets, so costs stay polynomial in the number of sensors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .llr_distributions import LlrLaw, exceed_prob, law_for_sensor, llr_pdf
+from .llr_distributions import LawStack, LlrLaw, exceed_prob, law_for_sensor, llr_pdf
 from .sensing_model import Hypothesis, ScenarioConfig
 
 
@@ -32,9 +33,14 @@ class SensorEnsemble:
     def m(self) -> int:
         return len(self.laws)
 
-    @property
+    @functools.cached_property
     def is_identical(self) -> bool:
         return all(law == self.laws[0] for law in self.laws[1:])
+
+    @functools.cached_property
+    def stack(self) -> LawStack:
+        """The laws' scales and shifts as columns, for one pass over all laws."""
+        return LawStack.of(self.laws)
 
 
 def weighted_subset_coeffs(p: np.ndarray, q: np.ndarray, m_max: int, start=None) -> np.ndarray:
@@ -68,8 +74,9 @@ def _check_rank(m: int, ensemble: SensorEnsemble) -> None:
         raise ValueError(f"rank {m} out of range for {ensemble.m} sensors")
 
 
-def _density_and_tail(y: np.ndarray, hyp: Hypothesis, law: LlrLaw):
-    """The law's density f and magnitude tail b = Pr(|Y| > |y|) at y."""
+def _density_and_tail(y: np.ndarray, hyp: Hypothesis, law: LlrLaw | LawStack):
+    """The density f and magnitude tail b = Pr(|Y| > |y|) at y of one law,
+    or of every law of a stack, one row per law."""
     return (np.asarray(llr_pdf(y, hyp, law), dtype=float),
             np.asarray(exceed_prob(y, hyp, law), dtype=float))
 
@@ -90,7 +97,7 @@ def _leave_one_out(depth: int, y: np.ndarray, hyp: Hypothesis, ensemble: SensorE
     sensors after r: the same multiply-adds, in the same order, as a
     recurrence over the M - 1 kept sensors from scratch.
     """
-    f, b = map(np.stack, zip(*(_density_and_tail(y, hyp, law) for law in ensemble.laws)))
+    f, b = _density_and_tail(y, hyp, ensemble.stack)
     q = 1.0 - b
     prefix = None
     for r in range(ensemble.m):

@@ -10,11 +10,14 @@ from ordfuse.defaults import default_scenario
 from ordfuse.dp_policy import CostModel, solve_backward
 from ordfuse.fusion_sim import make_detector, run_monte_carlo
 from ordfuse.llr_distributions import (
+    _TAIL_CHUNK,
     _ZERO_LIMIT,
+    LawStack,
     LlrLaw,
     _chi2_cdf,
     _chi2_sf,
     _erfcx,
+    _ndtr,
     _half_mass_magnitude,
     central_mass,
     correction_term,
@@ -130,6 +133,115 @@ class TestChi2Tails:
     def test_energy_law_rejects_non_integer_dof(self):
         with pytest.raises(ValueError, match="integer dof"):
             LlrLaw.energy(2.5, 2.0)
+
+
+class TestOnePointTails:
+    """A one-point array takes the scalar path and is reshaped: its bits are
+    those of the same point inside a larger array, on both sides of the
+    mean."""
+
+    @pytest.mark.parametrize("dof", (1, 2, 3, 10, 100))
+    def test_chi2_one_point_matches_array(self, dof):
+        q = _tail_points(dof)[::7]
+        assert np.any(q < dof) and np.any(q > dof)
+        for tail in (_chi2_cdf, _chi2_sf):
+            want = tail(q, dof)
+            for shape in ((1,), (1, 1)):
+                got = np.concatenate([tail(np.full(shape, v), dof).ravel() for v in q])
+                assert tail(np.full(shape, q[0]), dof).shape == shape
+                assert np.array_equal(got, want)
+
+    def test_ndtr_one_point_matches_array(self):
+        z = np.concatenate([np.linspace(-38.0, 9.0, 471), [0.0, -0.0, np.inf, -np.inf]])
+        want = _ndtr(z)
+        for shape in ((1,), (1, 1)):
+            assert _ndtr(np.full(shape, z[0])).shape == shape
+            assert np.array_equal([_ndtr(np.full(shape, v)).item() for v in z], want)
+
+    def test_gaussian_law_one_point_matches_array(self, shift_law):
+        y = np.linspace(-3.0 * shift_law.shift, 3.0 * shift_law.shift, 301)
+        for hyp in (H0, H1):
+            for f in (llr_cdf, exceed_prob):
+                want = f(y, hyp, shift_law)
+                assert np.array_equal([f(y[i : i + 1], hyp, shift_law)[0] for i in range(y.size)], want)
+
+
+def _energy_stack_laws():
+    # the dp benchmark's non-identical sensors: sigma2_s 1.0 to 4.0
+    return tuple(LlrLaw.energy(3, 1.0 + 0.2 * i) for i in range(16))
+
+
+def _shift_stack_laws():
+    return tuple(LlrLaw.shift_in_mean(3, 0.0, mu1, 1.0) for mu1 in (0.1, 0.5, 1.0, 2.0, 3.0))
+
+
+class TestLawStack:
+    """`llr_pdf` and `exceed_prob` on a tuple of laws, or their `LawStack`,
+    give bit for bit the rows of one call per law, however the (law, point)
+    block is cut into slices."""
+
+    LAWS = [pytest.param(_energy_stack_laws, id="energy"),
+            pytest.param(_shift_stack_laws, id="shift")]
+
+    @staticmethod
+    def _points(laws, n):
+        # every law's shift and its neighbours on both sides, either sign,
+        # then points spread over the supports, repeated up to n
+        shifts = np.array([law.shift for law in laws])
+        near = np.concatenate([shifts * f for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.5, 2.0)])
+        base = np.concatenate([near, -near, [0.0], np.linspace(-2.0 * shifts.max(), 30.0, 997)])
+        return np.resize(base, n)
+
+    @staticmethod
+    def _assert_rows_match(laws, y):
+        stack = LawStack.of(laws)
+        for hyp in (H0, H1):
+            for f in (llr_pdf, exceed_prob):
+                want = np.stack([np.asarray(f(y, hyp, law)) for law in laws])
+                assert np.array_equal(f(y, hyp, laws), want)
+                assert np.array_equal(f(y, hyp, stack), want)
+
+    @pytest.mark.parametrize("laws", LAWS)
+    @pytest.mark.parametrize("n", (0, 1, _TAIL_CHUNK - 1, _TAIL_CHUNK, _TAIL_CHUNK + 1))
+    def test_rows_match_per_law_calls(self, laws, n):
+        laws = laws()
+        self._assert_rows_match(laws, self._points(laws, n))
+
+    @pytest.mark.parametrize("laws", LAWS)
+    def test_row_slice_boundaries(self, laws):
+        # rows per slice change where n crosses a divisor of the chunk size:
+        # 3 and 2 rows at 2730 and 2731, all and all but one at M and M + 1
+        # rows' worth, and a last slice of one row
+        laws = laws()
+        m = len(laws)
+        for n in (_TAIL_CHUNK // 3, _TAIL_CHUNK // 3 + 1, _TAIL_CHUNK // m, _TAIL_CHUNK // m + 1):
+            self._assert_rows_match(laws, self._points(laws, n))
+
+    @pytest.mark.parametrize("laws", LAWS)
+    def test_shapes(self, laws):
+        laws = laws()
+        for y, shape in ((1.5, ()), (np.array(1.5), ()), (np.ones((3, 4)), (3, 4)),
+                         (np.empty((2, 0)), (2, 0))):
+            for f in (llr_pdf, exceed_prob):
+                got = f(y, H1, laws)
+                assert got.shape == (len(laws),) + shape
+                want = [f(np.asarray(y), H1, law) for law in laws]
+                assert np.array_equal(got, np.reshape(want, got.shape))
+
+    def test_columns(self):
+        laws = _energy_stack_laws()
+        stack = LawStack.of(laws)
+        assert len(stack) == 16 and stack.shift.shape == (16, 1)
+        assert stack.scale(H0) is stack.scale0 and stack.scale(H1) is stack.scale1
+        assert stack.scale1[:, 0].tolist() == [law.scale1 for law in laws]
+        part = stack.rows(3, 5)
+        assert part.shift[:, 0].tolist() == [laws[3].shift, laws[4].shift]
+
+    def test_rejects_mixed_laws(self):
+        with pytest.raises(ValueError, match="one model and dof"):
+            LawStack.of((LlrLaw.energy(3, 2.0), LlrLaw.energy(4, 2.0)))
+        with pytest.raises(ValueError, match="one model and dof"):
+            exceed_prob(1.0, H0, (LlrLaw.energy(3, 2.0), LlrLaw.shift_in_mean(3, 0.0, 1.0, 1.0)))
 
 
 class TestErfcx:

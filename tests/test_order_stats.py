@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,32 @@ def _leave_one_out_pdfs(k_max, y, hyp, ensemble):
         keep = [v for v in range(ensemble.m) if v != r]
         out = out + f[r] * weighted_subset_coeffs(b[keep], 1.0 - b[keep], k_max - 1)
     return out
+
+
+def _per_law_ranked_pdf(m, y, hyp, ensemble):
+    """Rank-m density of non-identical sensors from one `llr_pdf` and one
+    `exceed_prob` call per law, stacked, then the shared-prefix
+    leave-one-out recurrences in their fold order."""
+    y = np.asarray(y, dtype=float)
+    f = np.stack([np.asarray(llr_pdf(y, hyp, law), dtype=float) for law in ensemble.laws])
+    b = np.stack([np.asarray(exceed_prob(y, hyp, law), dtype=float) for law in ensemble.laws])
+    q = 1.0 - b
+    out = np.zeros(y.shape)
+    prefix = None
+    for r in range(ensemble.m):
+        out += f[r] * weighted_subset_coeffs(b[r + 1:], q[r + 1:], m - 1, prefix)[m - 1]
+        prefix = weighted_subset_coeffs(b[r:r + 1], q[r:r + 1], m - 1, prefix)
+    return out
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _brute_subset_sum(m_sub, hyp, hi_arg, lo_arg, excluded, ensemble):
@@ -186,6 +213,17 @@ class TestRankedPdf:
         assert np.all(np.abs(hist - theory) < 4.0 * se + 1e-4)
 
 
+class TestSensorEnsemble:
+    def test_caches_identity_and_stack(self):
+        ens = SensorEnsemble(M6.laws)
+        assert not ens.is_identical and "is_identical" in vars(ens)
+        stack = ens.stack
+        assert ens.stack is stack
+        assert stack.shift[:, 0].tolist() == [law.shift for law in ens.laws]
+        # the caches are not fields: equality and hashing see the laws only
+        assert ens == SensorEnsemble(M6.laws) and hash(ens) == hash(SensorEnsemble(M6.laws))
+
+
 class TestRankedPdfs:
     @pytest.mark.parametrize("kind", ["identical", "non-identical", "M16"])
     def test_rows_independent_of_depth(self, ensemble, kind):
@@ -215,6 +253,32 @@ class TestRankedPdfs:
                 for m in range(1, ens.m + 1):
                     got = ranked_pdf(m, y, hyp, ens)
                     assert type(got) is float and got == oracle[m - 1]
+
+    @pytest.mark.parametrize("ens", [M6, M16], ids=["M6", "M16"])
+    def test_law_pass_bit_identical_to_per_law_calls(self, ens):
+        # the executor's sizes: a full chunk at stage 1, the live slots of
+        # later stages, one slot
+        rng = np.random.default_rng(18)
+        for n in (8192, 2076, 148, 1):
+            ys = rng.uniform(-2.5, 14.0, n)
+            for hyp in (H0, H1):
+                rows = ranked_pdfs(ens.m, ys, hyp, ens)
+                for m in (1, 2, 5, ens.m):
+                    want = _per_law_ranked_pdf(m, ys, hyp, ens)
+                    assert np.array_equal(ranked_pdf(m, ys, hyp, ens), want)
+                    assert np.array_equal(rows[m - 1], want)
+
+    def test_stage_one_memory_within_per_law_loop(self):
+        # one law pass holds the (M, n) density and tail blocks and slices
+        # of at most `_TAIL_CHUNK` points, as the per-law loop holds its
+        # stacks; a pass that also stacked both hypotheses would hold
+        # (2, M, n) blocks, about 2 MB more of a 3.4 MB peak, and fail here
+        ys = np.random.default_rng(5).uniform(-2.5, 14.0, 8192)
+        for hyp in (H0, H1):
+            assert np.array_equal(ranked_pdf(1, ys, hyp, M16), _per_law_ranked_pdf(1, ys, hyp, M16))
+            peak = _traced_peak(ranked_pdf, 1, ys, hyp, M16)
+            loop_peak = _traced_peak(_per_law_ranked_pdf, 1, ys, hyp, M16)
+            assert peak <= 1.1 * loop_peak
 
     def test_rank_sum_identity_hundred_sensors(self):
         # M up to 100: the ranks of one slot partition the M sensors. The
