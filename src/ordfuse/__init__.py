@@ -31,11 +31,9 @@ from .fusion_sim import (
 )
 from .llr_distributions import (
     LlrLaw,
-    central_mass,
     correction_term,
     exceed_prob,
     law_for_sensor,
-    llr_cdf,
     llr_pdf,
 )
 from .order_stats import SensorEnsemble, ranked_pdf

@@ -21,7 +21,6 @@ from . import erfcx_table
 from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_TINY_MASS = 1e-300
 _ZERO_LIMIT = 1e-8  # below this the central-mass ratio is at its analytic limit
 # correction-envelope grid: points out to the 1e-6 quantile, then beyond it
 _ENVELOPE_DENSE_POINTS = 16384
@@ -96,6 +95,13 @@ class LlrLaw:
     def scale(self, hyp: Hypothesis) -> float:
         return self.scale0 if hyp == Hypothesis.H0 else self.scale1
 
+    def mean(self, hyp: Hypothesis) -> float:
+        """E[Y | hyp]: dof scale - shift for the energy model, -+shift for
+        the shift-in-mean model."""
+        if self.model is MeasurementModel.ENERGY_CHI_SQUARE:
+            return self.dof * self.scale(hyp) - self.shift
+        return -self.shift if hyp == Hypothesis.H0 else self.shift
+
     def effective_range(self, tail_mass: float = 1e-12) -> tuple[float, float]:
         """Interval holding all but `tail_mass` of Y under either hypothesis."""
         if self.model is MeasurementModel.ENERGY_CHI_SQUARE:
@@ -137,6 +143,7 @@ class LawStack:
                         self.scale1[start:stop], self.shift[start:stop])
 
     scale = LlrLaw.scale
+    mean = LlrLaw.mean
 
 
 def law_for_sensor(config: ScenarioConfig, sensor: int) -> LlrLaw:
@@ -395,8 +402,7 @@ def _pdf(y, hyp: Hypothesis, law):
         with np.errstate(divide="ignore", invalid="ignore"):
             logpdf = (half - 1.0) * np.log(q) - 0.5 * q - math.lgamma(half) - half * math.log(2.0)
         return np.where(q > 0.0, np.exp(logpdf) / s, 0.0)
-    mean = -law.shift if hyp == Hypothesis.H0 else law.shift
-    z = (y - mean) / law.scale0
+    z = (y - law.mean(hyp)) / law.scale0
     return np.exp(-0.5 * z * z - _LOG_SQRT_2PI) / law.scale0
 
 
@@ -408,34 +414,27 @@ def llr_pdf(y, hyp: Hypothesis, law):
     return out if out.ndim else float(out)
 
 
-def llr_cdf(y, hyp: Hypothesis, law: LlrLaw):
-    """Pr(Y <= y | hyp)."""
-    y = np.asarray(y, dtype=float)
+def _llr_tail(y, hyp: Hypothesis, law, upper: bool):
+    """Pr(Y > y | hyp) if `upper`, else Pr(Y <= y | hyp). The energy lower
+    tail is zero at chi-square argument q <= 0, below the support, and is
+    not evaluated there."""
     if law.model is MeasurementModel.ENERGY_CHI_SQUARE:
-        out = _chi2_cdf((y + law.shift) / law.scale(hyp), law.dof)
-    else:
-        mean = -law.shift if hyp == Hypothesis.H0 else law.shift
-        out = _ndtr((y - mean) / law.scale0)
-    return out if out.ndim else float(out)
+        q = (y + law.shift) / law.scale(hyp)
+        if upper:
+            return _chi2_sf(q, law.dof)
+        if np.ndim(q) == 0:
+            return _chi2_cdf(q, law.dof) if q > 0.0 else 0.0
+        inside = q > 0.0
+        out = np.zeros(inside.shape)
+        out[inside] = _chi2_cdf(q[inside], law.dof)
+        return out
+    z = (y - law.mean(hyp)) / law.scale0
+    return _ndtr(-z if upper else z)
 
 
 def _exceed(y, hyp: Hypothesis, law):
     a = np.abs(y)
-    if law.model is MeasurementModel.ENERGY_CHI_SQUARE:
-        s = law.scale(hyp)
-        upper = _chi2_sf((a + law.shift) / s, law.dof)
-        # the lower tail is zero where |b| >= shift, at chi-square argument <= 0
-        if a.ndim == 0:
-            lower = _chi2_cdf((law.shift - a) / s, law.dof) if a < law.shift else 0.0
-        else:
-            inside = a < law.shift
-            lower = np.zeros(inside.shape)
-            lower[inside] = _chi2_cdf(((law.shift - a) / s)[inside], law.dof)
-    else:
-        mean = -law.shift if hyp == Hypothesis.H0 else law.shift
-        upper = _ndtr(-(a - mean) / law.scale0)
-        lower = _ndtr((-a - mean) / law.scale0)
-    return upper + lower
+    return _llr_tail(a, hyp, law, upper=True) + _llr_tail(-a, hyp, law, upper=False)
 
 
 def exceed_prob(b, hyp: Hypothesis, law):
@@ -446,45 +445,31 @@ def exceed_prob(b, hyp: Hypothesis, law):
     return out if out.ndim else float(out)
 
 
-def central_mass(b, hyp: Hypothesis, law: LlrLaw):
-    """Pr(|Y| <= |b| | hyp)."""
-    a = np.abs(np.asarray(b, dtype=float))
-    out = llr_cdf(a, hyp, law) - llr_cdf(-a, hyp, law)
-    out = np.maximum(out, 0.0)
-    return out if out.ndim else float(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _half_mass_magnitude(law: LlrLaw, hyp: Hypothesis) -> float:
-    """The float a with central_mass(a) >= 1/2 and central_mass(a^-) < 1/2,
-    a^- the float below a: bisection until the bracket is adjacent floats."""
-    lo_y, hi_y = law.effective_range(1e-12)
-    lo, hi = 0.0, max(abs(lo_y), abs(hi_y))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        if central_mass(mid, hyp, law) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-
-
 def _log_central_mass(a, hyp: Hypothesis, law: LlrLaw):
-    """log Pr(|Y| <= a | hyp) for a >= 0, each point on one branch: the mass
-    itself below the half-mass magnitude, log1p of minus the tail above it,
-    where the mass nears one and the tail keeps the precision."""
+    """log Pr(|Y| <= a | hyp) for a >= 0, from tails that are each computed
+    directly, away from the mean, so that no difference cancels.
+
+    Below |E[Y | hyp]| the interval [-a, a] lies on one side of the mean, and
+    the mass is the difference of the two tails on that side: the lower
+    tails if the mean is positive, the upper tails if it is negative. From
+    |E[Y | hyp]| on it straddles the mean, and the log mass is log1p of minus
+    the magnitude tail, the sum of the two outer tails. A zero mass gives
+    -inf; the caller silences numpy's divide warning."""
     flat = a.ravel()
-    below = flat < _half_mass_magnitude(law, hyp)
-    n_below = np.count_nonzero(below)
+    mean = law.mean(hyp)
+    near = flat < abs(mean)
+    n_near = np.count_nonzero(near)
     out = np.empty_like(flat)
-    # a branch without points is skipped: a tail costs dozens of array
-    # passes, on an empty array too
-    with np.errstate(divide="ignore"):
-        if n_below:
-            out[below] = np.log(np.maximum(central_mass(flat[below], hyp, law), _TINY_MASS))
-        if n_below < flat.size:
-            out[~below] = np.log1p(-np.minimum(exceed_prob(flat[~below], hyp, law), 1.0))
+    # a side without points is skipped: a tail costs dozens of array passes,
+    # on an empty array too
+    if n_near:
+        upper = mean < 0.0
+        inner = flat[near]
+        # the tail at the end nearer the mean less the one at the farther end
+        nearer, farther = (-inner, inner) if upper else (inner, -inner)
+        out[near] = np.log(_llr_tail(nearer, hyp, law, upper) - _llr_tail(farther, hyp, law, upper))
+    if n_near < flat.size:
+        out[~near] = np.log1p(-exceed_prob(flat[~near], hyp, law))
     return out.reshape(a.shape)
 
 
@@ -495,7 +480,10 @@ def correction_term(y, law: LlrLaw):
     is one) and as y -> inf (both masses reach one).
     """
     a = np.abs(np.asarray(y, dtype=float))
-    out = _log_central_mass(a, Hypothesis.H1, law) - _log_central_mass(a, Hypothesis.H0, law)
+    # at a = 0 both masses are zero, and the difference of their logs is NaN
+    # until the analytic zero replaces it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _log_central_mass(a, Hypothesis.H1, law) - _log_central_mass(a, Hypothesis.H0, law)
     out = np.where(a < _ZERO_LIMIT, 0.0, out)
     return out if out.ndim else float(out)
 

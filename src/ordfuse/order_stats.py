@@ -87,23 +87,27 @@ def _binomial_row(m: int, n_sensors: int, f: np.ndarray, b: np.ndarray):
             * b ** (m - 1) * (1.0 - b) ** (n_sensors - m))
 
 
-def _leave_one_out(depth: int, y: np.ndarray, hyp: Hypothesis, ensemble: SensorEnsemble):
-    """Yield (f_r, c_r) for each sensor r: its density at y and coefficients
-    0..depth of the other sensors' subset polynomial prod_{v != r} (b_v x + 1 - b_v),
-    b_v the tail probability of sensor v at |y|.
+def _leave_one_out(depth: int, row, y: np.ndarray, hyp: Hypothesis, ensemble: SensorEnsemble):
+    """The sum over sensors r of f_r c_r[row]: f_r the density of sensor r
+    at y, c_r coefficients 0..depth of the other sensors' subset polynomial
+    prod_{v != r} (b_v x + 1 - b_v), b_v the tail probability of sensor v
+    at |y|.
 
     Leaving r out folds in sensors 0..r-1 and then r+1..M-1, so the prefix
     over 0..r-1 is carried forward once and each c_r continues it over the
     sensors after r: the same multiply-adds, in the same order, as a
-    recurrence over the M - 1 kept sensors from scratch.
+    recurrence over the M - 1 kept sensors from scratch. Each c_r is dropped
+    once added, so one coefficient block is live besides the prefix.
     """
     f, b = _density_and_tail(y, hyp, ensemble.stack)
     q = 1.0 - b
+    out = 0.0
     prefix = None
     for r in range(ensemble.m):
-        yield f[r], weighted_subset_coeffs(b[r + 1:], q[r + 1:], depth, prefix)
+        out += f[r] * weighted_subset_coeffs(b[r + 1:], q[r + 1:], depth, prefix)[row]
         if r + 1 < ensemble.m:
             prefix = weighted_subset_coeffs(b[r:r + 1], q[r:r + 1], depth, prefix)
+    return out
 
 
 def ranked_pdfs(k_max: int, y, hyp: Hypothesis, ensemble: SensorEnsemble) -> np.ndarray:
@@ -120,10 +124,7 @@ def ranked_pdfs(k_max: int, y, hyp: Hypothesis, ensemble: SensorEnsemble) -> np.
     if ensemble.is_identical:
         f, b = _density_and_tail(y, hyp, ensemble.laws[0])
         return np.stack([_binomial_row(m, ensemble.m, f, b) for m in range(1, k_max + 1)])
-    out = np.zeros((k_max,) + y.shape)
-    for f_r, coeffs in _leave_one_out(k_max - 1, y, hyp, ensemble):
-        out += f_r * coeffs
-    return out
+    return _leave_one_out(k_max - 1, ..., y, hyp, ensemble)
 
 
 def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
@@ -134,7 +135,5 @@ def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
     if ensemble.is_identical:
         out = _binomial_row(m, ensemble.m, *_density_and_tail(y, hyp, ensemble.laws[0]))
     else:
-        out = np.zeros(y.shape)
-        for f_r, coeffs in _leave_one_out(m - 1, y, hyp, ensemble):
-            out += f_r * coeffs[m - 1]
+        out = _leave_one_out(m - 1, m - 1, y, hyp, ensemble)
     return out if out.ndim else float(out)

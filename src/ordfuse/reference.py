@@ -5,9 +5,8 @@ it. Each function computes, by a slower or more direct route, a quantity the
 runtime gets elsewhere: one sensor's LLR from its samples and the magnitude
 ranking (`draw_slots`), the band thresholds at one stage (`decide_batch`),
 the chi-square tails from scipy at every point
-(`llr_distributions._chi2_cdf` and `_chi2_sf`), the log central mass with
-both branches at every point (`llr_distributions._log_central_mass`), the
-correction-term extrema over an interval (`CorrectionEnvelope` and
+(`llr_distributions._chi2_cdf` and `_chi2_sf`), the correction-term
+extrema over an interval (`CorrectionEnvelope` and
 `bs_thresholds._stage_extrema`), the belief update (`run_policy_batch`),
 the solver's continuation over the whole belief grid at once
 (`dp_policy._continuation`), and the exact rank densities and subset sums
@@ -34,9 +33,7 @@ from .bs_thresholds import decide_batch, map_block_batch
 from .dp_policy import PosteriorUndefined
 from .fusion_sim import _chunks
 from .llr_distributions import (
-    _TINY_MASS,
     LlrLaw,
-    central_mass,
     correction_term,
     envelope_for,
     exceed_prob,
@@ -167,19 +164,6 @@ def chi2_tails(q, dof: int):
 
 # ---------------------------------------------------------------------------
 # Correction term
-
-
-def log_central_mass(a, hyp: Hypothesis, law: LlrLaw):
-    """log Pr(|Y| <= a | hyp) with both branches evaluated at every point,
-    kept by the mass they give: the mass itself below 1/2, log1p of minus
-    the tail at or above it (`llr_distributions._log_central_mass` decides
-    by the half-mass magnitude instead and evaluates only the kept branch)."""
-    mass = np.asarray(central_mass(a, hyp, law), dtype=float)
-    tail = np.asarray(exceed_prob(a, hyp, law), dtype=float)
-    with np.errstate(divide="ignore"):
-        direct = np.log(np.maximum(mass, _TINY_MASS))
-        via_tail = np.log1p(-np.minimum(tail, 1.0))
-    return np.where(mass < 0.5, direct, via_tail)
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
@@ -432,5 +416,5 @@ def joint_topk_pdf(values, hyp: Hypothesis, ensemble: SensorEnsemble) -> float:
         return 0.0
     law = ensemble.laws[0]
     dens = np.asarray(llr_pdf(y, hyp, law), dtype=float)
-    mass = central_mass(mags[-1], hyp, law)
+    mass = 1.0 - exceed_prob(mags[-1], hyp, law)
     return float(math.perm(ensemble.m, k) * np.prod(dens) * mass ** (ensemble.m - k))

@@ -17,19 +17,23 @@ from ordfuse.llr_distributions import (
     _chi2_cdf,
     _chi2_sf,
     _erfcx,
+    _llr_tail,
+    _log_central_mass,
     _ndtr,
-    _half_mass_magnitude,
-    central_mass,
     correction_term,
     envelope_for,
     exceed_prob,
-    llr_cdf,
     llr_pdf,
 )
-from ordfuse.reference import chi2_tails, correction_extrema, envelope_extrema, log_central_mass
+from ordfuse.reference import chi2_tails, correction_extrema, envelope_extrema
 from ordfuse.sensing_model import Hypothesis
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
+
+
+def _cdf(y, hyp, law):
+    """Pr(Y <= y | hyp)."""
+    return _llr_tail(y, hyp, law, upper=False)
 
 
 class TestLawConstruction:
@@ -161,7 +165,7 @@ class TestOnePointTails:
     def test_gaussian_law_one_point_matches_array(self, shift_law):
         y = np.linspace(-3.0 * shift_law.shift, 3.0 * shift_law.shift, 301)
         for hyp in (H0, H1):
-            for f in (llr_cdf, exceed_prob):
+            for f in (_cdf, exceed_prob):
                 want = f(y, hyp, shift_law)
                 assert np.array_equal([f(y[i : i + 1], hyp, shift_law)[0] for i in range(y.size)], want)
 
@@ -281,12 +285,16 @@ class TestNormalTails:
         return ((H0, -law.shift), (H1, law.shift))
 
     @pytest.mark.parametrize("law", SHIFT_LAWS)
-    def test_cdf_matches_ndtr(self, law):
+    def test_tails_match_ndtr(self, law):
         for hyp, mean in self._means(law):
             z = np.concatenate([np.linspace(-38.0, 9.0, 4001), np.linspace(-1.0, 1.0, 401)])
             y = mean + law.scale0 * z
             want = special.ndtr((y - mean) / law.scale0)
-            got = llr_cdf(y, hyp, law)
+            got = _cdf(y, hyp, law)
+            kept = want >= 1e-300
+            assert np.all(np.abs(got[kept] - want[kept]) <= 5e-13 * want[kept])
+            want = special.ndtr(-(y - mean) / law.scale0)
+            got = _llr_tail(y, hyp, law, upper=True)
             kept = want >= 1e-300
             assert np.all(np.abs(got[kept] - want[kept]) <= 5e-13 * want[kept])
 
@@ -303,7 +311,7 @@ class TestNormalTails:
         # as for the chi-square tails: a scalar, or an array taken in slices,
         # gets the bits of one pass over the whole array
         y = np.linspace(-40.0, 40.0, 1001)
-        for f in (llr_cdf, exceed_prob):
+        for f in (_cdf, exceed_prob):
             want = f(y, H0, shift_law)
             assert np.array_equal([f(v, H0, shift_law) for v in y], want)
             with monkeypatch.context() as patch:
@@ -349,14 +357,14 @@ class TestPdfCdf:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_cdf_limits(self, law):
-        assert llr_cdf(-law.shift, H0, law) == 0.0
-        assert llr_cdf(1e9, H0, law) == pytest.approx(1.0, abs=1e-15)
-        assert llr_cdf(1e9, H1, law) == pytest.approx(1.0, abs=1e-15)
+        assert _cdf(-law.shift, H0, law) == 0.0
+        assert _cdf(1e9, H0, law) == pytest.approx(1.0, abs=1e-15)
+        assert _cdf(1e9, H1, law) == pytest.approx(1.0, abs=1e-15)
 
     def test_cdf_monotone(self, law):
         ys = np.linspace(-law.shift, 30.0, 400)
         for hyp in (H0, H1):
-            values = llr_cdf(ys, hyp, law)
+            values = _cdf(ys, hyp, law)
             assert np.all(np.diff(values) >= 0)
 
     @pytest.mark.parametrize("hyp", [H0, H1])
@@ -364,7 +372,7 @@ class TestPdfCdf:
         # central differences, h small enough that the 1e-6 bound is honest
         h = 1e-5
         ys = np.linspace(-law.shift + 0.2, 8.0, 20)
-        fd = (llr_cdf(ys + h, hyp, law) - llr_cdf(ys - h, hyp, law)) / (2.0 * h)
+        fd = (_cdf(ys + h, hyp, law) - _cdf(ys - h, hyp, law)) / (2.0 * h)
         assert np.max(np.abs(fd - llr_pdf(ys, hyp, law))) < 1e-6
 
     def test_density_ratio_identity(self, law):
@@ -390,10 +398,39 @@ class TestExceedProb:
     def test_at_infinity(self, law):
         assert exceed_prob(1e9, H1, law) == pytest.approx(0.0, abs=1e-15)
 
-    def test_complement_identity(self, law, rng):
-        for b in rng.uniform(0.0, 10.0, 25):
-            total = exceed_prob(b, H1, law) + central_mass(b, H1, law)
-            assert total == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("law", [
+        pytest.param(LlrLaw.energy(3, 2.0), id="energy-N3-snr2"),
+        pytest.param(LlrLaw.energy(1, 0.1), id="energy-N1-snr0.1"),
+        pytest.param(LlrLaw.energy(40, 50.0), id="energy-N40-snr50"),
+        pytest.param(LlrLaw.shift_in_mean(3, -1.0, 1.0, 1.0), id="shift-6"),
+        pytest.param(LlrLaw.shift_in_mean(40, -2.0, 2.0, 1.0), id="shift-320"),
+    ])
+    def test_complement_identity(self, law):
+        # the log central mass takes the difference of two tails below
+        # |E[Y|hyp]| and log1p of minus the magnitude tail from there on
+        for hyp in (H0, H1):
+            edge = abs(law.mean(hyp))
+            b = edge * np.concatenate([np.linspace(0.0, 1.0, 40, endpoint=False)[1:],
+                                       np.linspace(1.0, 6.0, 40)])
+            total = np.exp(_log_central_mass(b, hyp, law)) + exceed_prob(b, hyp, law)
+            assert np.max(np.abs(total - 1.0)) <= 1e-12
+
+
+def _quad_log_mass(y, hyp, law):
+    """log Pr(|Y| <= y | hyp) by adaptive quadrature of the energy law's
+    density over [-y, y], cut at the support start and the mode."""
+    mode = law.scale(hyp) * max(law.dof - 2, 0) - law.shift
+    cuts = sorted({-y, y} | {c for c in (-law.shift, mode) if -y < c < y})
+    return math.log(sum(
+        quad(lambda w: llr_pdf(w, hyp, law), lo, hi, limit=200, epsabs=0.0, epsrel=1e-12)[0]
+        for lo, hi in zip(cuts, cuts[1:])
+    ))
+
+
+QUAD_LAWS = [
+    pytest.param(LlrLaw.energy(dof, snr), id=f"energy-N{dof}-snr{snr:g}")
+    for dof in (1, 3, 10, 40) for snr in (0.1, 2.0, 50.0, 1000.0)
+]
 
 
 class TestCorrectionTerm:
@@ -410,6 +447,16 @@ class TestCorrectionTerm:
             oracle = math.log(m[0] / m[1])
             assert correction_term(y, law) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("law", QUAD_LAWS)
+    def test_matches_quadrature_across_laws(self, law):
+        # log-spaced |y| out to four shifts, and each hypothesis's |E[Y|hyp]|,
+        # where the log central mass changes form; past about 2e4 plain
+        # quadrature misses the SNR-1000 laws' mass
+        edges = [abs(law.mean(hyp)) for hyp in (H0, H1)]
+        for y in [*np.geomspace(1e-4, 4.0 * law.shift, 7), *edges]:
+            oracle = _quad_log_mass(y, H1, law) - _quad_log_mass(y, H0, law)
+            assert correction_term(y, law) == pytest.approx(oracle, abs=1e-9)
+
     def test_non_monotone(self, law):
         # dips negative in the interior and returns to zero in the tail
         ys = np.linspace(0.0, 40.0, 800)
@@ -417,14 +464,18 @@ class TestCorrectionTerm:
         assert values.min() < -0.3
         assert abs(values[-1]) < 1e-6
 
-    def test_shift_in_mean_identically_zero(self, shift_law):
-        ys = np.linspace(0.0, 25.0, 300)
-        assert np.max(np.abs(correction_term(ys, shift_law))) < 1e-9
+    @pytest.mark.parametrize(("dof", "mu", "shift"), [(3, 1.0, 6.0), (10, 2.0, 80.0), (40, 2.0, 320.0)])
+    def test_shift_in_mean_identically_zero(self, dof, mu, shift):
+        # the two hypotheses' |Y| laws are mirror images, and each log
+        # central mass takes the same tails in the same order
+        law = LlrLaw.shift_in_mean(dof, -mu, mu, 1.0)
+        assert law.shift == shift
+        ys = np.concatenate([np.linspace(0.0, 4.0 * shift, 4001), shift * (1.0 + np.arange(-5, 6) * 1e-15)])
+        assert np.all(correction_term(ys, law) == 0.0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "N=40, SNR 50: H0's central interval lies in the upper tail of "
-        "chi-square(40), where both the cdf difference and 1 - tail cancel"))
     def test_quadrature_cross_check_extreme_snr(self):
+        # N=40, SNR 50: H0's central interval lies in the upper tail of
+        # chi-square(40), where a cdf difference or 1 - tail would cancel
         law = LlrLaw.energy(40, 50.0)
         for y in (0.05, 0.222, 2.1, 6.48):
             m = [quad(lambda w, h=h: llr_pdf(w, h, law), -y, y, limit=200, epsabs=0.0,
@@ -449,7 +500,7 @@ class TestCorrectionTermShape:
         assert isinstance(got, np.ndarray) and got.shape == shape
 
     def test_matrix_equals_flat_evaluation(self, law, rng):
-        # magnitudes on both sides of the half-mass split in one array
+        # magnitudes on both sides of each |E[Y|hyp]| in one array
         y = rng.uniform(0.0, 20.0, (250, 8))
         got = correction_term(y, law)
         assert got.shape == y.shape
@@ -462,55 +513,6 @@ class TestCorrectionTermShape:
     def test_zero_below_limit(self, law):
         y = np.array([0.0, 1e-12, -5e-9, 0.99 * _ZERO_LIMIT, -0.99 * _ZERO_LIMIT])
         assert np.array_equal(correction_term(y, law), np.zeros(5))
-
-
-def _two_branch_term(y, law):
-    """The correction term with both branches of the log central mass
-    evaluated at every point and kept by the mass they give."""
-    a = np.abs(np.asarray(y, dtype=float))
-    out = log_central_mass(a, H1, law) - log_central_mass(a, H0, law)
-    return np.where(a < _ZERO_LIMIT, 0.0, out)
-
-
-BRANCH_LAWS = [
-    pytest.param(LlrLaw.energy(dof, snr), id=f"energy-N{dof}-snr{snr:g}")
-    for dof in (1, 2, 3, 8, 40) for snr in (0.05, 2.0, 50.0)
-] + SHIFT_LAWS
-
-
-class TestBranchRule:
-    """Deciding the branch by magnitude gives the term that deciding it by
-    the computed mass gives, except where the computed mass is not monotone:
-    within a few ulps of a half-mass magnitude."""
-
-    @pytest.mark.parametrize("law", BRANCH_LAWS)
-    def test_matches_two_branch_oracle(self, law):
-        top = max(abs(v) for v in law.effective_range(1e-14))
-        halves = np.array([_half_mass_magnitude(law, hyp) for hyp in (H0, H1)])
-        ulps = np.arange(-200, 201)
-        ys = np.concatenate([
-            np.logspace(-8.0, math.log10(top), 2000),
-            np.random.default_rng(8).uniform(0.0, top, 20_000),
-            *(a + ulps * np.spacing(a) for a in halves),
-        ])
-        got = correction_term(ys, law)
-        want = _two_branch_term(ys, law)
-        near = np.any(np.abs(ys[:, None] - halves) <= 1e-12 * halves, axis=1)
-        assert np.array_equal(got[~near], want[~near])
-        # near a half-mass magnitude the two rules may pick different
-        # branches, whose log masses differ by at most 4.5e-16; the term, a
-        # difference of two log masses, can round to a neighbouring ulp of
-        # itself, so the bound is on each log mass
-        for hyp in (H0, H1):
-            by_magnitude = llr_distributions._log_central_mass(ys[near], hyp, law)
-            by_mass = log_central_mass(ys[near], hyp, law)
-            assert np.max(np.abs(by_magnitude - by_mass)) <= 4.5e-16
-
-    @pytest.mark.parametrize("law", BRANCH_LAWS)
-    @pytest.mark.parametrize("hyp", [H0, H1])
-    def test_half_mass_magnitude_brackets_one_half(self, law, hyp):
-        a_half = _half_mass_magnitude(law, hyp)
-        assert central_mass(np.nextafter(a_half, 0.0), hyp, law) < 0.5 <= central_mass(a_half, hyp, law)
 
 
 class TestCorrectionExtrema:
@@ -603,21 +605,16 @@ class TestCorrectionEnvelope:
 @pytest.fixture
 def scipy_tails(monkeypatch):
     """Switches the chi-square tails to scipy's pair when called; the cached
-    laws built on either pair are dropped at each switch and at teardown."""
+    envelopes built on either pair are dropped at each switch and at teardown."""
 
     def switch():
         monkeypatch.setattr(llr_distributions, "_chi2_cdf", lambda q, dof: chi2_tails(q, dof)[0])
         monkeypatch.setattr(llr_distributions, "_chi2_sf", lambda q, dof: chi2_tails(q, dof)[1])
-        _clear_law_caches()
+        envelope_for.cache_clear()
 
-    _clear_law_caches()
+    envelope_for.cache_clear()
     yield switch
     monkeypatch.undo()
-    _clear_law_caches()
-
-
-def _clear_law_caches():
-    _half_mass_magnitude.cache_clear()
     envelope_for.cache_clear()
 
 

@@ -280,6 +280,17 @@ class TestRankedPdfs:
             loop_peak = _traced_peak(_per_law_ranked_pdf, 1, ys, hyp, M16)
             assert peak <= 1.1 * loop_peak
 
+    def test_deep_rank_memory_within_per_law_loop(self):
+        # each leave-one-out coefficient block, (rank, n), is dropped once
+        # added, as the per-law loop drops it; a block still held while the
+        # next one is computed puts one block more on the peak
+        ys = np.random.default_rng(5).uniform(-2.5, 14.0, 8192)
+        block = 8 * ys.nbytes
+        for hyp in (H0, H1):
+            peak = _traced_peak(ranked_pdf, 8, ys, hyp, M16)
+            loop_peak = _traced_peak(_per_law_ranked_pdf, 8, ys, hyp, M16)
+            assert peak <= loop_peak + block // 2
+
     def test_rank_sum_identity_hundred_sensors(self):
         # M up to 100: the ranks of one slot partition the M sensors. The
         # rows of one depth-100 call are the rank densities (checked bit for
