@@ -26,7 +26,7 @@ from ordfuse.llr_distributions import (
     llr_pdf,
 )
 from ordfuse.reference import chi2_tails, correction_extrema, envelope_extrema
-from ordfuse.sensing_model import Hypothesis
+from ordfuse.sensing_model import Hypothesis, MeasurementModel
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
@@ -417,10 +417,13 @@ class TestExceedProb:
 
 
 def _quad_log_mass(y, hyp, law):
-    """log Pr(|Y| <= y | hyp) by adaptive quadrature of the energy law's
-    density over [-y, y], cut at the support start and the mode."""
-    mode = law.scale(hyp) * max(law.dof - 2, 0) - law.shift
-    cuts = sorted({-y, y} | {c for c in (-law.shift, mode) if -y < c < y})
+    """log Pr(|Y| <= y | hyp) by adaptive quadrature of the law's density
+    over [-y, y], cut at the mode and the energy law's support start."""
+    if law.model is MeasurementModel.ENERGY_CHI_SQUARE:
+        kinks = (-law.shift, law.scale(hyp) * max(law.dof - 2, 0) - law.shift)
+    else:
+        kinks = (law.mean(hyp),)
+    cuts = sorted({-y, y} | {c for c in kinks if -y < c < y})
     return math.log(sum(
         quad(lambda w: llr_pdf(w, hyp, law), lo, hi, limit=200, epsabs=0.0, epsrel=1e-12)[0]
         for lo, hi in zip(cuts, cuts[1:])
@@ -513,6 +516,46 @@ class TestCorrectionTermShape:
     def test_zero_below_limit(self, law):
         y = np.array([0.0, 1e-12, -5e-9, 0.99 * _ZERO_LIMIT, -0.99 * _ZERO_LIMIT])
         assert np.array_equal(correction_term(y, law), np.zeros(5))
+
+
+SPLIT_LAWS = [
+    pytest.param(LlrLaw.energy(dof, snr), id=f"energy-N{dof}-snr{snr:g}")
+    for dof in (1, 2, 3, 8, 40) for snr in (0.05, 2.0, 50.0)
+] + SHIFT_LAWS
+
+
+class TestMeanSplit:
+    """The log central mass changes form at |E[Y|hyp]|: below it the
+    difference of the two tails on the mean's far side, from it on log1p of
+    minus the magnitude tail."""
+
+    @pytest.mark.parametrize("law", SPLIT_LAWS)
+    @pytest.mark.parametrize("hyp", [H0, H1])
+    def test_log_mass_matches_quadrature(self, law, hyp):
+        # points on both sides of the split, down to a thousandth of it; on
+        # the high-SNR laws a cdf difference cancels there
+        edge = abs(law.mean(hyp))
+        ys = edge * np.array([1e-3, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
+        want = [_quad_log_mass(y, hyp, law) for y in ys]
+        assert _log_central_mass(ys, hyp, law) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("law", SPLIT_LAWS)
+    def test_forms_agree_at_the_split(self, law):
+        # at |E[Y|hyp]| the mass is neither near zero nor near one, so
+        # neither form cancels and the log mass has no step where it
+        # changes form
+        for hyp in (H0, H1):
+            edge = abs(law.mean(hyp))
+            ys = edge + np.arange(-200, 201) * np.spacing(edge)
+            upper = law.mean(hyp) < 0.0
+            nearer, farther = (-ys, ys) if upper else (ys, -ys)
+            by_tails = np.log(_llr_tail(nearer, hyp, law, upper) - _llr_tail(farther, hyp, law, upper))
+            by_exceed = np.log1p(-exceed_prob(ys, hyp, law))
+            assert np.all(np.abs(by_tails - by_exceed) <= 1e-14 * np.abs(by_exceed))
+            below = ys < edge
+            got = _log_central_mass(ys, hyp, law)
+            assert np.array_equal(got[below], by_tails[below])
+            assert np.array_equal(got[~below], by_exceed[~below])
 
 
 class TestCorrectionExtrema:
