@@ -21,7 +21,19 @@ from .order_stats import SensorEnsemble, ranked_pdf, ranked_pdfs
 from .sensing_model import Hypothesis, MeasurementModel, ScenarioConfig, record
 
 _TIE_TOL = 1e-11  # stop-vs-continue ties within quadrature noise resolve to continuing
-_GAUSS_ORDER = 16  # Gauss-Legendre nodes per quadrature panel
+# the 16-point Gauss-Legendre rule on [-1, 1], bit for bit numpy's `leggauss(16)`
+_GAUSS_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 _LOG_ODDS_SPAN = 16.0  # belief-grid interior covers log-odds in [-span, span]
 _DOT_TAPS = 8192  # longest kernel piece of a correlation: one single-thread BLAS dot
 
@@ -199,11 +211,10 @@ def panels_from_edges(edges: np.ndarray):
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with at least two entries")
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
-    nodes = (lo + half * (x[None, :] + 1.0)).ravel()
-    weights = (half * w[None, :]).ravel()
+    nodes = (lo + half * (_GAUSS_NODES[None, :] + 1.0)).ravel()
+    weights = (half * _GAUSS_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
@@ -267,7 +278,15 @@ def _quadrature_edges(ensemble: SensorEnsemble, per_segment: int) -> np.ndarray:
             panel = width / (count - 1)
             pieces.append(p + panel * 0.5 ** np.arange(halvings.get(p, 0), 0, -1))
             pieces.append(np.linspace(p, q, count))
-    return np.unique(np.concatenate([[lo], *pieces, [hi]]))
+    return _sorted_distinct(np.concatenate([[lo], *pieces, [hi]]))
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a float array in ascending order, as
+    `np.unique` gives them, without its import of `numpy.ma`. Of -0.0 and
+    +0.0 the stable sort keeps the first in input order."""
+    ordered = np.sort(values, kind="stable")
+    return ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
 
 
 def _quadrature_rank_densities(config: ScenarioConfig):

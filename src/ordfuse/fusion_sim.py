@@ -253,7 +253,7 @@ def run_monte_carlo_fading(
     slots_per_period[-1] = trials - fading.T_c * (n_periods - 1)
 
     acc = _Accumulator(config.K, cost_model)
-    for m_eff in sorted(set(int(c) for c in counts)):
+    for m_eff in np.flatnonzero(np.bincount(counts)).tolist():
         n_slots = int(slots_per_period[counts == m_eff].sum())
         if m_eff == 0:
             cfg = config

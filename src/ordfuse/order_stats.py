@@ -87,27 +87,28 @@ def _binomial_row(m: int, n_sensors: int, f: np.ndarray, b: np.ndarray):
             * b ** (m - 1) * (1.0 - b) ** (n_sensors - m))
 
 
-def _leave_one_out(depth: int, row, y: np.ndarray, hyp: Hypothesis, ensemble: SensorEnsemble):
+def _forward_pass(depth: int, row, y: np.ndarray, hyp: Hypothesis, ensemble: SensorEnsemble):
     """The sum over sensors r of f_r c_r[row]: f_r the density of sensor r
     at y, c_r coefficients 0..depth of the other sensors' subset polynomial
     prod_{v != r} (b_v x + 1 - b_v), b_v the tail probability of sensor v
     at |y|.
 
-    Leaving r out folds in sensors 0..r-1 and then r+1..M-1, so the prefix
-    over 0..r-1 is carried forward once and each c_r continues it over the
-    sensors after r: the same multiply-adds, in the same order, as a
-    recurrence over the M - 1 kept sensors from scratch. Each c_r is dropped
-    once added, so one coefficient block is live besides the prefix.
+    One pass over the sensors carries two polynomials: `weights`, the
+    product over the sensors folded so far, and `total`, the sum over those
+    sensors r of f_r times the product over the others. Folding sensor v
+    sets total <- total (b_v x + q_v) + f_v weights, then weights <-
+    weights (b_v x + q_v), with q_v = 1 - b_v. Sensor 0 starts total at f_0
+    and the last sensor's weights are never read, so M sensors take
+    2(M - 1) folds, every term nonnegative.
     """
     f, b = _density_and_tail(y, hyp, ensemble.stack)
-    q = 1.0 - b
-    out = 0.0
-    prefix = None
-    for r in range(ensemble.m):
-        out += f[r] * weighted_subset_coeffs(b[r + 1:], q[r + 1:], depth, prefix)[row]
-        if r + 1 < ensemble.m:
-            prefix = weighted_subset_coeffs(b[r:r + 1], q[r:r + 1], depth, prefix)
-    return out
+    weights = weighted_subset_coeffs(b[:0], b[:0], depth)  # the unit polynomial
+    total = f[0] * weights
+    for v in range(1, ensemble.m):
+        weights = weighted_subset_coeffs(b[v - 1:v], 1.0 - b[v - 1:v], depth, weights)
+        total = weighted_subset_coeffs(b[v:v + 1], 1.0 - b[v:v + 1], depth, total)
+        total += f[v] * weights
+    return total[row]
 
 
 def ranked_pdfs(k_max: int, y, hyp: Hypothesis, ensemble: SensorEnsemble) -> np.ndarray:
@@ -115,16 +116,16 @@ def ranked_pdfs(k_max: int, y, hyp: Hypothesis, ensemble: SensorEnsemble) -> np.
 
     Each law's density and tail are evaluated once. For non-identical
     sensors rank m is sum_r f_r(y) c_r[m - 1], with c_r the leave-one-out
-    coefficients of `_leave_one_out`, which share their prefixes and run
-    once to depth k_max - 1: coefficient j never reads an entry above j, so
-    every row equals a recurrence stopped at its own rank.
+    coefficients, all summed by the one forward pass of `_forward_pass`
+    to depth k_max - 1: coefficient j never reads an entry above j, so
+    every row equals a pass stopped at its own rank.
     """
     _check_rank(k_max, ensemble)
     y = np.asarray(y, dtype=float)
     if ensemble.is_identical:
         f, b = _density_and_tail(y, hyp, ensemble.laws[0])
         return np.stack([_binomial_row(m, ensemble.m, f, b) for m in range(1, k_max + 1)])
-    return _leave_one_out(k_max - 1, ..., y, hyp, ensemble)
+    return _forward_pass(k_max - 1, ..., y, hyp, ensemble)
 
 
 def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
@@ -135,5 +136,5 @@ def ranked_pdf(m: int, y, hyp: Hypothesis, ensemble: SensorEnsemble):
     if ensemble.is_identical:
         out = _binomial_row(m, ensemble.m, *_density_and_tail(y, hyp, ensemble.laws[0]))
     else:
-        out = _leave_one_out(m - 1, m - 1, y, hyp, ensemble)
+        out = _forward_pass(m - 1, m - 1, y, hyp, ensemble)
     return out if out.ndim else float(out)

@@ -292,6 +292,37 @@ class TestQuadratureLayout:
             edges = dp._quadrature_edges(SensorEnsemble.from_config(cfg), per_segment)
             assert np.all(np.diff(edges) > 4.0 * np.spacing(np.abs(edges[1:])))
 
+    def test_distinct_edges_bit_equal_to_unique(self, monkeypatch, non_identical):
+        # the sort-and-mask dedup returns `np.unique`'s array bit for bit on
+        # the edge layouts of the solver's scenarios, zero's sign included:
+        # every layout has 0.0 as an edge, more than once. Given both signed
+        # zeros, `np.unique` keeps the one its hash table met first, which
+        # is not always the first in input order, so that case is pinned to
+        # the stable sort's rule alone.
+        def bits(a):
+            return a.view(np.int64).tolist()
+
+        seen = []
+        real = dp._sorted_distinct
+        monkeypatch.setattr(dp, "_sorted_distinct", lambda a: seen.append(a) or real(a))
+        configs = (default_scenario(), default_scenario(N=1), default_scenario(**_M16), non_identical[0],
+                   default_scenario(measurement_model=MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
+                                    mu0=(-1.0,) * 10, mu1=(1.0,) * 10))
+        for cfg in configs:
+            for per_segment in (24, 48):
+                dp._quadrature_edges(SensorEnsemble.from_config(cfg), per_segment)
+        assert len(seen) == 2 * len(configs)
+        for a in seen:
+            assert np.count_nonzero(a == 0.0) > 1
+            assert bits(real(a)) == bits(np.unique(a))
+        assert bits(real(np.array([2.0, -0.0, 0.0, -0.0]))) == bits(np.array([-0.0, 2.0]))
+        assert bits(real(np.array([2.0, 0.0, -0.0, 0.0]))) == bits(np.array([0.0, 2.0]))
+
+    def test_gauss_rule_bit_equal_to_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert dp._GAUSS_NODES.tolist() == x.tolist()
+        assert dp._GAUSS_WEIGHTS.tolist() == w.tolist()
+
     def test_non_identical_masses_and_node_budget(self, non_identical):
         for cfg, budget in ((default_scenario(**_M16), 5000), (non_identical[0], 4000)):
             nodes, _, _, _, mass_error = dp._quadrature_rank_densities(cfg)

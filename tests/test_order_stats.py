@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ordfuse import order_stats
 from ordfuse.defaults import default_scenario
 from ordfuse.llr_distributions import LlrLaw, exceed_prob, llr_pdf
 from ordfuse.order_stats import SensorEnsemble, ranked_pdf, ranked_pdfs, weighted_subset_coeffs
@@ -58,13 +59,34 @@ def _leave_one_out_pdfs(k_max, y, hyp, ensemble):
     return out
 
 
-def _per_law_ranked_pdf(m, y, hyp, ensemble):
-    """Rank-m density of non-identical sensors from one `llr_pdf` and one
-    `exceed_prob` call per law, stacked, then the shared-prefix
-    leave-one-out recurrences in their fold order."""
-    y = np.asarray(y, dtype=float)
+def _per_law_stacks(y, hyp, ensemble):
+    """Each law's density and magnitude tail from one `llr_pdf` and one
+    `exceed_prob` call per law, stacked one row per law."""
     f = np.stack([np.asarray(llr_pdf(y, hyp, law), dtype=float) for law in ensemble.laws])
     b = np.stack([np.asarray(exceed_prob(y, hyp, law), dtype=float) for law in ensemble.laws])
+    return f, b
+
+
+def _per_law_ranked_pdf(m, y, hyp, ensemble):
+    """Rank-m density of non-identical sensors from per-law stacks, then the
+    forward pass in its fold order."""
+    y = np.asarray(y, dtype=float)
+    f, b = _per_law_stacks(y, hyp, ensemble)
+    weights = weighted_subset_coeffs(b[:0], b[:0], m - 1)
+    total = f[0] * weights
+    for v in range(1, ensemble.m):
+        weights = weighted_subset_coeffs(b[v - 1:v], 1.0 - b[v - 1:v], m - 1, weights)
+        total = weighted_subset_coeffs(b[v:v + 1], 1.0 - b[v:v + 1], m - 1, total)
+        total += f[v] * weights
+    return total[m - 1]
+
+
+def _prefix_sharing_ranked_pdf(m, y, hyp, ensemble):
+    """Rank-m density from per-law stacks and one leave-one-out recurrence
+    per sensor, each continuing a shared prefix: M(M - 1)/2 + M - 1 folds
+    where the forward pass takes 2(M - 1). Kept as a memory baseline."""
+    y = np.asarray(y, dtype=float)
+    f, b = _per_law_stacks(y, hyp, ensemble)
     q = 1.0 - b
     out = np.zeros(y.shape)
     prefix = None
@@ -240,19 +262,38 @@ class TestRankedPdfs:
                 assert np.array_equal(full[m - 1], ranked_pdf(m, ys, hyp, ens))
 
     @pytest.mark.parametrize("ens", [M6, M16], ids=["M6", "M16"])
-    def test_shared_prefix_bit_identical_to_leave_one_out(self, ens):
+    def test_forward_pass_within_ulps_of_leave_one_out(self, ens):
+        # the forward pass sums the same nonnegative products as M separate
+        # leave-one-out recurrences, in another order (worst seen: 5 ulps)
         ys = np.concatenate([np.linspace(-2.1, 25.0, 257), [0.0, 1e-9, 60.0]])
         for hyp in (H0, H1):
             oracle = _leave_one_out_pdfs(ens.m, ys, hyp, ens)
-            assert np.array_equal(ranked_pdfs(ens.m, ys, hyp, ens), oracle)
+            rows = ranked_pdfs(ens.m, ys, hyp, ens)
+            np.testing.assert_array_max_ulp(rows, oracle, maxulp=8)
             for m in range(1, ens.m + 1):
-                assert np.array_equal(ranked_pdf(m, ys, hyp, ens), oracle[m - 1])
+                assert np.array_equal(ranked_pdf(m, ys, hyp, ens), rows[m - 1])
             for y in (-1.3, 0.0, 0.8, 4.5):
                 oracle = _leave_one_out_pdfs(ens.m, y, hyp, ens)
-                assert np.array_equal(ranked_pdfs(ens.m, y, hyp, ens), oracle)
+                rows = ranked_pdfs(ens.m, y, hyp, ens)
+                np.testing.assert_array_max_ulp(rows, oracle, maxulp=8)
                 for m in range(1, ens.m + 1):
                     got = ranked_pdf(m, y, hyp, ens)
-                    assert type(got) is float and got == oracle[m - 1]
+                    assert type(got) is float and got == rows[m - 1]
+
+    def test_forward_pass_folds_each_sensor_twice(self, monkeypatch):
+        # O(M) folds a point: at most 2M sensor rows reach the recurrence,
+        # where one leave-one-out recurrence per sensor takes O(M^2)
+        folded = []
+        real = order_stats.weighted_subset_coeffs
+
+        def counted(p, *args):
+            folded.append(np.shape(p)[0])
+            return real(p, *args)
+
+        monkeypatch.setattr(order_stats, "weighted_subset_coeffs", counted)
+        ys = np.linspace(-2.0, 14.0, 64)
+        ranked_pdf(8, ys, H1, M16)
+        assert 0 < sum(folded) <= 2 * M16.m
 
     @pytest.mark.parametrize("ens", [M6, M16], ids=["M6", "M16"])
     def test_law_pass_bit_identical_to_per_law_calls(self, ens):
@@ -281,15 +322,17 @@ class TestRankedPdfs:
             assert peak <= 1.1 * loop_peak
 
     def test_deep_rank_memory_within_per_law_loop(self):
-        # each leave-one-out coefficient block, (rank, n), is dropped once
-        # added, as the per-law loop drops it; a block still held while the
-        # next one is computed puts one block more on the peak
+        # the pass holds two (rank, n) coefficient blocks and one being
+        # folded, as the per-law loop does, and takes 1 - b one sensor row
+        # at a time: an (M, n) block of 1 - b, or a coefficient block held
+        # one fold too long, would exceed the per-law loop's peak, and the
+        # prefix-sharing loop's, by about a block
         ys = np.random.default_rng(5).uniform(-2.5, 14.0, 8192)
         block = 8 * ys.nbytes
         for hyp in (H0, H1):
             peak = _traced_peak(ranked_pdf, 8, ys, hyp, M16)
-            loop_peak = _traced_peak(_per_law_ranked_pdf, 8, ys, hyp, M16)
-            assert peak <= loop_peak + block // 2
+            for loop in (_per_law_ranked_pdf, _prefix_sharing_ranked_pdf):
+                assert peak <= _traced_peak(loop, 8, ys, hyp, M16) + block // 2
 
     def test_rank_sum_identity_hundred_sensors(self):
         # M up to 100: the ranks of one slot partition the M sensors. The
