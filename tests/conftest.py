@@ -1,3 +1,8 @@
+import hashlib
+import json
+import platform
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,51 @@ from ordfuse.dp_policy import CostMode, CostModel, solve_backward, solve_one_thr
 from ordfuse.llr_distributions import law_for_sensor
 from ordfuse.order_stats import SensorEnsemble
 from ordfuse.sensing_model import MeasurementModel
+
+DIGESTS = Path(__file__).with_name("digests.json")
+
+
+def _environment():
+    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-digests",
+        action="store_true",
+        help=f"rewrite {DIGESTS.name} from the digests this run computes instead of checking them",
+    )
+
+
+@pytest.fixture(scope="session")
+def check_digest(request):
+    """Check bytes against their sha256 in `digests.json`, by name.
+
+    With `--update-digests` (see `tools/update_digests.py`) the digests are
+    collected instead, and the file is rewritten with them and this run's
+    numpy version and platform once the session ends without a failure.
+    """
+    update = request.config.getoption("--update-digests")
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"digests": {}}
+    environment = _environment()
+    seen = {}
+
+    def check(name: str, data: bytes) -> None:
+        digest = hashlib.sha256(data).hexdigest()
+        seen[name] = digest
+        if update:
+            return
+        expected = recorded["digests"].get(name)
+        assert expected is not None, f"no recorded digest for {name!r} in {DIGESTS.name}"
+        if digest != expected:
+            origin = {key: recorded.get(key) for key in environment}
+            note = "" if origin == environment else f"; recorded with {origin}, this run has {environment}"
+            pytest.fail(f"{name}: sha256 {digest} differs from the recorded {expected}{note}")
+
+    yield check
+    if update and request.session.testsfailed == 0:
+        payload = {**environment, "digests": dict(sorted(seen.items()))}
+        DIGESTS.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")

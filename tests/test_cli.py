@@ -288,7 +288,7 @@ class TestPresetSmoke:
              [["bs"]]),
         ],
     )
-    def test_preset_csv_layout(self, tmp_path, preset, extra, header, keys):
+    def test_preset_csv_layout(self, tmp_path, check_digest, preset, extra, header, keys):
         cfg = _write(
             tmp_path,
             f"[experiment]\npreset = {preset}\ntrials = 300\nseed = 1\n"
@@ -303,6 +303,7 @@ class TestPresetSmoke:
         rows = [line.split(",") for line in lines[1:]]
         assert [row[:len(keys[0])] for row in rows] == keys
         assert all(len(row) == len(header.split(",")) for row in rows)
+        check_digest(f"csv/{preset}", csv_path.read_bytes())
 
 
 class TestSlotDraws:

@@ -48,6 +48,18 @@ def non_identical():
     return cfg, solve_backward(cfg, CostModel.error_min(c=0.0001))
 
 
+@pytest.mark.parametrize(
+    "name, fixture",
+    [("error-min", "policy_error_min"), ("one-threshold", "policy_one_threshold"),
+     ("non-identical-m6", "non_identical")],
+)
+def test_policy_values_match_recorded_digest(request, check_digest, name, fixture):
+    policy = request.getfixturevalue(fixture)
+    if fixture == "non_identical":
+        policy = policy[1]
+    check_digest(f"policy/{name}", policy.values.tobytes())
+
+
 class TestDecisionCost:
     def test_error_min_zero_one(self, scenario):
         cm = CostModel.error_min()
