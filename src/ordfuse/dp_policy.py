@@ -35,7 +35,8 @@ _GAUSS_WEIGHTS = np.array([
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
 ])
 _LOG_ODDS_SPAN = 16.0  # belief-grid interior covers log-odds in [-span, span]
-_DOT_TAPS = 8192  # longest kernel piece of a correlation: one single-thread BLAS dot
+# belief-grid points G; a correlation dot has 2G - 3 taps, under OpenBLAS's 10,000-term thread split
+_GRID_SIZE = 1001
 
 
 class SolverError(RuntimeError):
@@ -332,7 +333,7 @@ def _continuation(grid, j_next, f0, f1, weights):
 
     with L0_j = J_j - b_j pi_j and L1_j = J_j + b_j (1 - pi_j) the cell's
     line at 0 and at 1. A report only shifts the log-odds, by
-    l_n = log f0_n - log f1_n. `grid` must be `_belief_grid(G)`: its interior
+    l_n = log f0_n - log f1_n. `grid` must be `_belief_grid()`: its interior
     z_m = -S + (m - 1) h, h = 2S / (G - 3), is uniform in log-odds, so
     interior point i lands in cell clip(i + d_n, 0, G - 2) with
     d_n = floor(l_n / h). Binning w f0 and w f1 by d_n therefore turns the
@@ -340,13 +341,6 @@ def _continuation(grid, j_next, f0, f1, weights):
     same interpolant with no binning error, in O(N + G^2) per stage. Nodes
     with f0 = f1 = 0 have mix = 0 and are dropped; at the endpoints the
     posterior stays put.
-
-    Each correlation output is a BLAS dot product of length 2G - 3. OpenBLAS
-    splits a dot product of more than 10,000 terms across threads, which
-    changes its rounding, so `_correlate_valid` takes each dot over kernel
-    pieces of at most `_DOT_TAPS` and adds the pieces in a fixed order: the
-    values do not depend on the BLAS thread count at any grid size. Up to
-    G = 4097 the kernel is one piece and the correlation one call.
     """
     g = grid.size
     slope = np.diff(j_next) / np.diff(grid)
@@ -364,8 +358,8 @@ def _continuation(grid, j_next, f0, f1, weights):
     # output i - 1 reads padded entry i - 1 + (d + G - 2), which must hold
     # cell clip(i + d, 0, G - 2)
     pad = (g - 3, g - 2)
-    c1 = _correlate_valid(np.pad(line1, pad, mode="edge"), a0)
-    c0 = _correlate_valid(np.pad(line0, pad, mode="edge"), a1)
+    c1 = np.correlate(np.pad(line1, pad, mode="edge"), a0, "valid")
+    c0 = np.correlate(np.pad(line0, pad, mode="edge"), a1, "valid")
     inner = grid[1:-1]
     out = np.empty(g)
     out[0] = j_next[0] * a1.sum()
@@ -374,18 +368,7 @@ def _continuation(grid, j_next, f0, f1, weights):
     return out
 
 
-def _correlate_valid(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`np.correlate(a, v, "valid")` as the sum of the correlations of `a`
-    with consecutive pieces of `v` of at most `_DOT_TAPS` taps each."""
-    n_out = a.size - v.size + 1
-    out = np.correlate(a[: n_out - 1 + min(v.size, _DOT_TAPS)], v[:_DOT_TAPS], "valid")
-    for start in range(_DOT_TAPS, v.size, _DOT_TAPS):
-        piece = v[start : start + _DOT_TAPS]
-        out += np.correlate(a[start : start + n_out - 1 + piece.size], piece, "valid")
-    return out
-
-
-def _belief_grid(grid_size: int) -> np.ndarray:
+def _belief_grid() -> np.ndarray:
     """Belief grid with log-odds spacing plus exact endpoints.
 
     The optimal stop thresholds sit within O(c) of certainty, far inside the
@@ -393,7 +376,7 @@ def _belief_grid(grid_size: int) -> np.ndarray:
     log-odds resolves those neighborhoods while keeping the grid small.
     `_continuation` relies on this layout.
     """
-    z = np.linspace(-_LOG_ODDS_SPAN, _LOG_ODDS_SPAN, grid_size - 2)
+    z = np.linspace(-_LOG_ODDS_SPAN, _LOG_ODDS_SPAN, _GRID_SIZE - 2)
     interior = 1.0 / (1.0 + np.exp(-z))
     return np.concatenate([[0.0], interior, [1.0]])
 
@@ -406,15 +389,13 @@ def _extract_thresholds(actions_row: np.ndarray, grid: np.ndarray) -> tuple[floa
     return pi_low, pi_high
 
 
-def _solve(config: ScenarioConfig, cost_model: CostModel, grid_size: int) -> PolicyTable:
-    if grid_size < 101:
-        raise ValueError("grid_size must be >= 101")
+def _solve(config: ScenarioConfig, cost_model: CostModel) -> PolicyTable:
     k_max = config.K
-    grid = _belief_grid(grid_size)
+    grid = _belief_grid()
     nodes, weights, f0, f1, quad_err = _quadrature_rank_densities(config)
 
-    values = np.zeros((k_max, grid_size))
-    actions = np.zeros((k_max, grid_size), dtype=np.int8)
+    values = np.zeros((k_max, grid.size))
+    actions = np.zeros((k_max, grid.size), dtype=np.int8)
     pi_low = np.zeros(k_max)
     pi_high = np.zeros(k_max)
 
@@ -445,21 +426,17 @@ def _solve(config: ScenarioConfig, cost_model: CostModel, grid_size: int) -> Pol
         diagnostics={
             "quadrature_mass_error": float(quad_err),
             "nodes": len(nodes),
-            "grid_size": grid_size,
+            "grid_size": grid.size,
         },
     )
 
 
-def solve_backward(
-    config: ScenarioConfig, cost_model: CostModel, grid_size: int = 1001
-) -> PolicyTable:
+def solve_backward(config: ScenarioConfig, cost_model: CostModel) -> PolicyTable:
     """Two-threshold backward induction over the belief grid."""
-    return _solve(config, cost_model, grid_size)
+    return _solve(config, cost_model)
 
 
-def solve_one_threshold(
-    config: ScenarioConfig, cost_model: CostModel, grid_size: int = 1001
-) -> PolicyTable:
+def solve_one_threshold(config: ScenarioConfig, cost_model: CostModel) -> PolicyTable:
     """Throughput special case: before the last stage the only stop is declare-free.
 
     Requires `cost_model.is_pure_throughput` (c = 0 and every auxiliary cost
@@ -471,7 +448,7 @@ def solve_one_threshold(
     """
     if not cost_model.is_pure_throughput:
         raise ValueError("one-threshold solve requires c = 0 and zero auxiliary costs")
-    return replace(_solve(config, cost_model, grid_size), kind="one-threshold")
+    return replace(_solve(config, cost_model), kind="one-threshold")
 
 
 def run_policy_batch(ordered_values: np.ndarray, policy: PolicyTable):

@@ -48,8 +48,8 @@ def zero_cost_model():
 @pytest.fixture(scope="module")
 def throughput_policies(zero_cost_model):
     cfg = default_scenario()
-    two = solve_backward(cfg, zero_cost_model, grid_size=1001)
-    one = solve_one_threshold(cfg, zero_cost_model, grid_size=1001)
+    two = solve_backward(cfg, zero_cost_model)
+    one = solve_one_threshold(cfg, zero_cost_model)
     return cfg, two, one
 
 
@@ -57,7 +57,7 @@ def throughput_policies(zero_cost_model):
 def policy_m60():
     cfg = default_scenario(M=60)
     cm = CostModel.throughput(c=0.0001)
-    return cfg, cm, solve_backward(cfg, cm, grid_size=1001)
+    return cfg, cm, solve_backward(cfg, cm)
 
 
 def test_criterion_1_fading_participation_constant():

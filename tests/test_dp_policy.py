@@ -237,10 +237,11 @@ class TestSolveBackward:
         corrupted.values[3, 500] += 1e-3 * span
         assert not concavity_check(corrupted)
 
-    def test_grid_refinement_stability(self, scenario):
+    def test_grid_refinement_stability(self, monkeypatch, scenario):
         cm = CostModel.throughput(c=0.0001)
-        coarse = solve_backward(scenario, cm, grid_size=1001)
-        fine = solve_backward(scenario, cm, grid_size=2001)
+        coarse = solve_backward(scenario, cm)
+        monkeypatch.setattr(dp, "_GRID_SIZE", 2001)
+        fine = solve_backward(scenario, cm)
         for k in range(scenario.K):
             for coarse_thr, fine_thr in (
                 (coarse.pi_low[k], fine.pi_low[k]),
@@ -250,10 +251,6 @@ class TestSolveBackward:
                 lo = coarse.grid[max(idx - 2, 0)]
                 hi = coarse.grid[min(idx + 2, len(coarse.grid) - 1)]
                 assert lo - 1e-12 <= fine_thr <= hi + 1e-12
-
-    def test_grid_size_validated(self, scenario):
-        with pytest.raises(ValueError, match="grid_size"):
-            solve_backward(scenario, CostModel.error_min(), grid_size=50)
 
     def test_error_min_c0_never_stops_early(self, policy_error_min_free, scenario):
         early = policy_error_min_free.actions[: scenario.K - 1]
@@ -370,7 +367,7 @@ class TestQuadratureLayout:
 
 def _assert_matches_dense(monkeypatch, cfg, cost_model, grid_size=1001):
     """Solve with `reference.dense_continuation` as the continuation, and with
-    the runtime one.
+    the runtime one, on a belief grid of `grid_size` points.
 
     At every stage of the oracle's solve the runtime continuation is
     evaluated on the same inputs. The two solves must give the same actions
@@ -384,10 +381,11 @@ def _assert_matches_dense(monkeypatch, cfg, cost_model, grid_size=1001):
         gaps.append(float(np.abs(_continuation(*args) - dense).max()))
         return dense
 
+    monkeypatch.setattr(dp, "_GRID_SIZE", grid_size)
     with monkeypatch.context() as m:
         m.setattr(dp, "_continuation", checked)
-        dense = solve_backward(cfg, cost_model, grid_size)
-    fast = solve_backward(cfg, cost_model, grid_size)
+        dense = solve_backward(cfg, cost_model)
+    fast = solve_backward(cfg, cost_model)
     assert max(gaps) <= 1e-13
     np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
     assert np.array_equal(fast.actions, dense.actions)
@@ -408,14 +406,16 @@ class TestContinuation:
 
     def test_values_reproducible_across_blas_threads(self):
         """Solve values have the same bytes with one and two BLAS threads."""
+        # each continuation output is one dot of 2G - 3 taps, and OpenBLAS
+        # splits a dot of 10,000 or more terms across threads
+        assert 2 * dp._GRID_SIZE - 3 < 10_000
         script = (
             "import hashlib\n"
             "from ordfuse.defaults import default_scenario\n"
             "from ordfuse.dp_policy import CostModel, solve_backward\n"
-            "for cfg, grid_size in ((default_scenario(), 1001),\n"
-            "                       (default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5)), 1001),\n"
-            "                       (default_scenario(), 6001)):\n"
-            "    policy = solve_backward(cfg, CostModel.error_min(c=0.0001), grid_size)\n"
+            "for cfg in (default_scenario(),\n"
+            "            default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))):\n"
+            "    policy = solve_backward(cfg, CostModel.error_min(c=0.0001))\n"
             "    print(hashlib.sha256(policy.values.tobytes()).hexdigest())\n"
         )
         digests = []
@@ -428,7 +428,7 @@ class TestContinuation:
             done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                   capture_output=True, text=True, timeout=300)
             digests.append(done.stdout.split())
-        assert len(digests[0]) == 3
+        assert len(digests[0]) == 2
         assert digests[0] == digests[1]
 
     def test_peak_memory_is_bounded(self):
@@ -436,7 +436,7 @@ class TestContinuation:
         # run, where one dense grid x node array alone is about 105 MB
         rng = np.random.default_rng(71)
         n_nodes = 13_184
-        grid = _belief_grid(1001)
+        grid = _belief_grid()
         f0, f1 = rng.uniform(0.0, 2.0, (2, n_nodes))
         weights = rng.uniform(0.0, 1e-3, n_nodes)
         j_next = np.minimum(grid, 1.0 - grid)
@@ -489,11 +489,14 @@ class TestFragileRegimes:
         ids=["default", "non-default"],
     )
     @_FRAGILE
-    def test_zero_cost_throughput_never_declares_busy_early(self, overrides, grid_size, cost_model):
+    def test_zero_cost_throughput_never_declares_busy_early(
+        self, monkeypatch, overrides, grid_size, cost_model
+    ):
         # the one-threshold solve is this solve under its label, so this is
         # what makes it one-threshold
+        monkeypatch.setattr(dp, "_GRID_SIZE", grid_size)
         cfg = default_scenario(**overrides)
-        policy = solve_backward(cfg, cost_model, grid_size)
+        policy = solve_backward(cfg, cost_model)
         k = cfg.K
         assert not np.any(policy.actions[: k - 1] == Action.DECLARE_H1)
         assert np.all(policy.pi_low[: k - 1] == 0.0)
