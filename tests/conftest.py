@@ -15,36 +15,21 @@ from ordfuse.sensing_model import MeasurementModel
 DIGESTS = Path(__file__).with_name("digests.json")
 
 
-def _environment():
-    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--update-digests",
-        action="store_true",
-        help=f"rewrite {DIGESTS.name} from the digests this run computes instead of checking them",
-    )
-
-
 @pytest.fixture(scope="session")
-def check_digest(request):
+def check_digest(tmp_path_factory):
     """Check bytes against their sha256 in `digests.json`, by name.
 
-    With `--update-digests` (see `tools/update_digests.py`) the digests are
-    collected instead, and the file is rewritten with them and this run's
-    numpy version and platform once the session ends without a failure.
+    At the end of the session the digests this run computed are written,
+    in the same layout, to `digests.json` under pytest's base temporary
+    directory, which `tools/update_digests.py` copies over the recorded one.
     """
-    update = request.config.getoption("--update-digests")
-    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"digests": {}}
-    environment = _environment()
+    recorded = json.loads(DIGESTS.read_text())
+    environment = {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
     seen = {}
 
     def check(name: str, data: bytes) -> None:
         digest = hashlib.sha256(data).hexdigest()
         seen[name] = digest
-        if update:
-            return
         expected = recorded["digests"].get(name)
         assert expected is not None, f"no recorded digest for {name!r} in {DIGESTS.name}"
         if digest != expected:
@@ -53,9 +38,8 @@ def check_digest(request):
             pytest.fail(f"{name}: sha256 {digest} differs from the recorded {expected}{note}")
 
     yield check
-    if update and request.session.testsfailed == 0:
-        payload = {**environment, "digests": dict(sorted(seen.items()))}
-        DIGESTS.write_text(json.dumps(payload, indent=2) + "\n")
+    computed = {**environment, "digests": dict(sorted(seen.items()))}
+    (tmp_path_factory.getbasetemp() / DIGESTS.name).write_text(json.dumps(computed, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")
