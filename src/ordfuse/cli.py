@@ -404,6 +404,7 @@ def _preset_fading_probed(bundle: ConfigBundle, m_values):
 
 def _preset_thresholds_vs_stage(bundle: ConfigBundle, c_values):
     config = bundle.scenario
+    log_prior = config.log_prior_ratio()
     rows = []
     for c in c_values:
         policy = solve_backward(config, CostModel.throughput(c=c))
@@ -412,8 +413,8 @@ def _preset_thresholds_vs_stage(bundle: ConfigBundle, c_values):
             hi = float(policy.pi_high[k - 1])
             rows.append([
                 c, k, lo, hi,
-                accumulated_llr_equivalent(lo, config.pi0),
-                accumulated_llr_equivalent(hi, config.pi0),
+                accumulated_llr_equivalent(lo, log_prior),
+                accumulated_llr_equivalent(hi, log_prior),
             ])
     return ["c", "stage", "pi_low", "pi_high", "llr_equiv_declare_busy", "llr_equiv_declare_free"], rows
 

@@ -35,8 +35,7 @@ _GAUSS_WEIGHTS = np.array([
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
 ])
 _LOG_ODDS_SPAN = 16.0  # belief-grid interior covers log-odds in [-span, span]
-# belief-grid points G; a correlation dot has 2G - 3 taps, under OpenBLAS's 10,000-term thread split
-_GRID_SIZE = 1001
+_GRID_SIZE = 1001  # belief-grid points G
 
 
 class SolverError(RuntimeError):
@@ -197,14 +196,15 @@ class PolicyTable:
         )
 
 
-def accumulated_llr_equivalent(pi_threshold: float, pi0: float) -> float:
-    """Running-LLR-sum value whose plain Bayes posterior from prior pi0 equals
-    the belief threshold; +-inf at the degenerate ends."""
+def accumulated_llr_equivalent(pi_threshold: float, log_prior_ratio: float) -> float:
+    """Running-LLR-sum value whose plain Bayes posterior from the prior with
+    log(pi0 / (1 - pi0)) = log_prior_ratio equals the belief threshold;
+    +-inf at the degenerate thresholds and priors."""
     if pi_threshold <= 0.0:
         return math.inf
     if pi_threshold >= 1.0:
         return -math.inf
-    return math.log(pi0 / (1.0 - pi0)) + math.log((1.0 - pi_threshold) / pi_threshold)
+    return log_prior_ratio + math.log((1.0 - pi_threshold) / pi_threshold)
 
 
 def panels_from_edges(edges: np.ndarray):
@@ -338,7 +338,8 @@ def _continuation(grid, j_next, f0, f1, weights):
     interior point i lands in cell clip(i + d_n, 0, G - 2) with
     d_n = floor(l_n / h). Binning w f0 and w f1 by d_n therefore turns the
     sum over nodes into two correlations against the edge-padded lines: the
-    same interpolant with no binning error, in O(N + G^2) per stage. Nodes
+    same interpolant with no binning error. Both run as one batched real FFT
+    convolution with the reversed bins, in O(N + G log G) per stage. Nodes
     with f0 = f1 = 0 have mix = 0 and are dropped; at the endpoints the
     posterior stays put.
     """
@@ -357,15 +358,25 @@ def _continuation(grid, j_next, f0, f1, weights):
     a1 = np.bincount(shift, w * f1, minlength=2 * g - 3)
     # output i - 1 reads padded entry i - 1 + (d + G - 2), which must hold
     # cell clip(i + d, 0, G - 2)
-    pad = (g - 3, g - 2)
-    c1 = np.correlate(np.pad(line1, pad, mode="edge"), a0, "valid")
-    c0 = np.correlate(np.pad(line0, pad, mode="edge"), a1, "valid")
+    lines = np.pad(np.stack([line1, line0]), ((0, 0), (g - 3, g - 2)), mode="edge")
+    # the 'valid' correlation of a 3G - 6 line with 2G - 3 taps is the full
+    # convolution with the reversed taps at outputs 2G - 4 ... 3G - 7; with
+    # n >= 3G - 6 no circular wrap reaches them
+    n = _fft_length(lines.shape[1])
+    spectra = np.fft.rfft(lines, n) * np.fft.rfft(np.stack([a0, a1])[:, ::-1], n)
+    c1, c0 = np.fft.irfft(spectra, n)[:, 2 * g - 4:3 * g - 6]
     inner = grid[1:-1]
     out = np.empty(g)
     out[0] = j_next[0] * a1.sum()
     out[1:-1] = inner * c1 + (1.0 - inner) * c0
     out[-1] = j_next[-1] * a0.sum()
     return out
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^k or 3 * 2^k of at least n, a length pocketfft runs fast."""
+    power = 1 << (n - 1).bit_length()
+    return 3 * power // 4 if 3 * power // 4 >= n else power
 
 
 def _belief_grid() -> np.ndarray:

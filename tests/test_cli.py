@@ -171,6 +171,25 @@ class TestRunExperiment:
         zero_cost_rows = [r for r in rows if float(r[0]) == 0.0 and int(r[1]) < 8]
         assert all(float(r[2]) == 0.0 for r in zero_cost_rows)
 
+    @pytest.mark.parametrize("pi0, evidence", [(1.0, math.inf), (0.0, -math.inf)])
+    def test_thresholds_preset_at_degenerate_prior(self, tmp_path, pi0, evidence):
+        # from a certain prior no finite evidence sum reaches an interior belief
+        cfg = _write(tmp_path, f"[scenario]\nM = 4\nK = 3\npi0 = {pi0}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        argv = ["run", "--config", str(cfg), "--preset", "fig-thresholds-vs-stage",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        with open(tmp_path / "out" / "fig-thresholds-vs-stage.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 3  # three costs, three stages
+        for row in rows:
+            for pi, llr in ((row["pi_low"], row["llr_equiv_declare_busy"]),
+                            (row["pi_high"], row["llr_equiv_declare_free"])):
+                if 0.0 < float(pi) < 1.0:
+                    assert float(llr) == evidence
+                else:
+                    assert math.isinf(float(llr))
+
     def test_sensing_vs_c_preset(self, tmp_path):
         cfg = _write(
             tmp_path,
