@@ -229,15 +229,17 @@ def _quadrature_edges(ensemble: SensorEnsemble, per_segment: int) -> np.ndarray:
     the tail above `mid` cannot swallow a narrower law's bulk. Below `mid`,
     a segment gets edges in proportion to its width: `per_segment` once it
     is as wide as the smallest shift, and never fewer than two. A
-    shift-in-mean left tail keeps `per_segment` uniform edges, and the tail
-    above `mid` gets `per_segment` geometric ones. An energy law's support
-    starts at -shift, where its chi-square density has an integrable
-    endpoint singularity. The leftmost start gets 40 halvings of its
-    segment's left half. Every other start gets halvings of its segment's
-    first panel: 40 for one-dof laws, whose density is unbounded there, and
-    8 for the rest. Identical sensors have no other start and one `mid`,
-    and each of their segments below `mid` but a left tail is one shift
-    wide, so their layout is the plain `per_segment` one.
+    shift-in-mean left tail keeps `per_segment` uniform edges, and each
+    segment ending at or above `mid` gets `per_segment` geometric ones.
+    Then every segment's first panel is halved toward the segment's start
+    as often as `halvings` says, and no other breakpoint is graded. An
+    energy law's support starts at -shift, where its chi-square density has
+    an integrable endpoint singularity: 40 halvings for one-dof laws, whose
+    density is unbounded there, and 8 for the rest. A one-dof law's +shift
+    and a narrower law's own 1e-6 point get 8 each. With powers far apart,
+    the segment above either can be tens to thousands of units wide, while
+    the mass it must see lies within a few units of its start: under H0, a
+    strong one-dof law's mass above +shift, and the narrow law's last 1e-6.
     """
     laws = ensemble.laws
     ranges = [law.effective_range(1e-12) for law in laws]
@@ -245,40 +247,36 @@ def _quadrature_edges(ensemble: SensorEnsemble, per_segment: int) -> np.ndarray:
     hi = max(r[1] for r in ranges)
     mid = min(max(law.effective_range(1e-6)[1] for law in laws), hi)
     breakpoints = {0.0, mid}
+    halvings = {}  # graded segment start -> halvings of its first panel
     cut = mid
     for m in sorted((law.effective_range(1e-6)[1] for law in laws), reverse=True):
         if 0.0 < m < cut / 8.0:
             breakpoints.add(m)
+            halvings[m] = 8
             cut = m
     for law in laws:
         breakpoints.update((-law.shift, law.shift))
+        if law.model is MeasurementModel.ENERGY_CHI_SQUARE:
+            halvings[-law.shift] = 40 if law.dof == 1 else 8
+            if law.dof == 1:
+                halvings[law.shift] = 8
     pts = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
     s_min = min(law.shift for law in laws)
-    halvings = {  # energy support start -> grading depth
-        -law.shift: 40 if law.dof == 1 else 8
-        for law in laws
-        if law.model is MeasurementModel.ENERGY_CHI_SQUARE
-    }
     pieces = []
     for i, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
         width = q - p
-        if i > 0 and q >= mid:
-            geometric = p + width * np.expm1(np.linspace(0.0, 1.0, per_segment) * math.log(8.0)) / 7.0
+        if q >= mid:
+            edges = p + width * np.expm1(np.linspace(0.0, 1.0, per_segment) * math.log(8.0)) / 7.0
             # the rounded ratio ends an ulp short of one, which can leave an
             # edge an ulp from q and so a panel of zero width
-            geometric[-1] = q
-            pieces.append(geometric)
-            continue
-        count = per_segment
-        if i > 0 or p in halvings:  # not a shift-in-mean left tail
-            count = min(per_segment, max(2, math.ceil(per_segment * width / s_min)))
-        if i == 0:
-            pieces.append(p + width * 0.5 ** np.arange(40, 0, -1))
-            pieces.append(np.linspace(p + 0.5 * width, q, count))
+            edges[-1] = q
         else:
-            panel = width / (count - 1)
-            pieces.append(p + panel * 0.5 ** np.arange(halvings.get(p, 0), 0, -1))
-            pieces.append(np.linspace(p, q, count))
+            count = per_segment
+            if i > 0 or p in halvings:  # not a shift-in-mean left tail
+                count = min(per_segment, max(2, math.ceil(per_segment * width / s_min)))
+            edges = np.linspace(p, q, count)
+        pieces.append(p + (edges[1] - p) * 0.5 ** np.arange(halvings.get(p, 0), 0, -1))
+        pieces.append(edges)
     return _sorted_distinct(np.concatenate([[lo], *pieces, [hi]]))
 
 

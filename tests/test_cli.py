@@ -508,24 +508,20 @@ class TestMain:
         values = [float(v) for key, v in rows[0].items() if key != "detector"]
         assert all(math.isfinite(v) for v in values)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="one-dof sensors with powers far apart pass validate, and run exits 3 "
-        "because the rank-density quadrature does not converge (ROADMAP item 9)",
-    )
-    def test_dp_on_far_apart_one_sample_sensors_rejected_or_runs(self, tmp_path):
+    def test_dp_on_far_apart_one_sample_sensors_runs(self, tmp_path):
+        # the strong law's H0 mass above its +shift lies within a few units
+        # of it, inside the first panel of a tail piece over 1,600 units wide
         cfg = _write(
             tmp_path,
             "[scenario]\nM = 2\nK = 2\nN = 1\nsigma2_s = 0.001, 10000\n"
             "[experiment]\ndetector = dp\ntrials = 300\n",
         )
-        if main(["validate", "--config", str(cfg)]) == 2:
-            return
+        assert main(["validate", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--preset", "custom", "--out", str(out)]) == 0
         with open(out / "custom.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
         assert all(math.isfinite(float(v)) for key, v in rows[0].items() if key != "detector")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -556,7 +552,7 @@ class TestMain:
             f"quadrature mass error {diag['quadrature_mass_error']:.4g}, "
             f"{diag['nodes']} nodes, grid size {diag['grid_size']}"
         )
-        assert diag["nodes"] == 2112
+        assert diag["nodes"] == 1600
         assert diag["grid_size"] == 1001
 
     def test_solve_one_threshold_flag(self, tmp_path):

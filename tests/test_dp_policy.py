@@ -262,28 +262,36 @@ class TestSolveBackward:
 _M16 = {"M": 16, "sigma2_s": tuple(round(1.0 + 0.2 * i, 1) for i in range(16))}
 
 
-def _uniform_edges(ensemble, per_segment):
+def _uniform_edges(ensemble, per_segment, halvings=0):
     """`per_segment` uniform edges in every segment between the breakpoints
-    and the support ends: no grading and no sizing by width."""
+    and the support ends, and `halvings` halvings of every segment's first
+    panel toward its start: no sizing by width."""
     ranges = [law.effective_range(1e-12) for law in ensemble.laws]
     lo = min(r[0] for r in ranges)
     hi = max(r[1] for r in ranges)
     cuts = {0.0}.union(*({-law.shift, law.shift} for law in ensemble.laws))
     pts = [lo] + sorted(p for p in cuts if lo < p < hi) + [hi]
-    return np.unique(np.concatenate([np.linspace(p, q, per_segment) for p, q in zip(pts[:-1], pts[1:])]))
+    pieces = []
+    for p, q in zip(pts[:-1], pts[1:]):
+        edges = np.linspace(p, q, per_segment)
+        pieces += [p + (edges[1] - p) * 0.5 ** np.arange(halvings, 0, -1), edges]
+    return np.unique(np.concatenate(pieces))
 
 
 class TestQuadratureLayout:
     @pytest.mark.parametrize(
         "overrides, n_nodes",
         [
-            ({}, 2112),
-            ({"N": 1}, 2112),
+            # 8 halvings at -shift, 23 panels in each of four segments
+            ({}, 1600),
+            # 40 halvings at -shift and 8 at +shift
+            ({"N": 1}, 2240),
+            # five segments, none graded
             ({"measurement_model": MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
-              "mu0": (-1.0,) * 10, "mu1": (1.0,) * 10}, 2480),
+              "mu0": (-1.0,) * 10, "mu1": (1.0,) * 10}, 1840),
             # shift 320: the left tail is narrower than the shift
             ({"N": 40, "measurement_model": MeasurementModel.SHIFT_IN_MEAN_GAUSSIAN,
-              "mu0": (-2.0,) * 10, "mu1": (2.0,) * 10}, 2480),
+              "mu0": (-2.0,) * 10, "mu1": (2.0,) * 10}, 1840),
         ],
         ids=["energy", "energy-N1", "shift", "shift-320"],
     )
@@ -291,6 +299,19 @@ class TestQuadratureLayout:
         # identical sensors keep the layout of one panel count per segment
         nodes, *_ = dp._quadrature_rank_densities(default_scenario(**overrides))
         assert nodes.size == n_nodes
+
+    @pytest.mark.parametrize("overrides", [{}, {"N": 1}], ids=["energy", "energy-N1"])
+    def test_identical_sensor_values_converge(self, monkeypatch, overrides):
+        """The solve's values lie within 1e-5 of a solve on an independent
+        layout: 16 times the uniform edges a segment, and 40 halvings at
+        every segment start. That layout is itself within 6e-9 (N=3) and
+        5e-8 (N=1) of one with 64 times the edges."""
+        cfg = default_scenario(**overrides)
+        cost_model = CostModel.error_min(c=0.0001)
+        solved = solve_backward(cfg, cost_model)
+        monkeypatch.setattr(dp, "_quadrature_edges", lambda ens, n: _uniform_edges(ens, 16 * n, halvings=40))
+        reference = solve_backward(cfg, cost_model)
+        assert np.abs(solved.values - reference.values).max() <= 1e-5
 
     @pytest.mark.parametrize("per_segment", [24, 48])
     def test_no_panel_of_zero_width(self, non_identical, per_segment):
@@ -340,12 +361,22 @@ class TestQuadratureLayout:
 
     @pytest.mark.parametrize(
         "n_samples, sigma2_s",
-        [(3, np.geomspace(1e-3, 1e4, 6)), (1, np.geomspace(0.1, 1e3, 6))],
-        ids=["N3-snr-1e-3-to-1e4", "N1-snr-0.1-to-1e3"],
+        [
+            (3, np.geomspace(1e-3, 1e4, 6)),
+            (1, np.geomspace(0.1, 1e3, 6)),
+            (1, np.geomspace(100, 1e4, 6)),
+            (10, (1e-4, 100.0)),
+        ],
+        ids=["N3-snr-1e-3-to-1e4", "N1-snr-0.1-to-1e3", "N1-snr-1e2-to-1e4", "N10-M2-snr-1e-4-to-1e2"],
     )
     def test_signal_powers_decades_apart_converge(self, n_samples, sigma2_s):
-        # the weakest laws' bulk ends decades below the strongest law's tail
-        cfg = default_scenario(M=6, K=4, N=n_samples, sigma2_s=tuple(sigma2_s))
+        # the weakest laws' bulk ends decades below the strongest law's tail;
+        # at N=1 the strong laws' H0 mass above +shift sits within a few
+        # units of it, in a tail piece hundreds of units wide; at N=10 the
+        # weak law's last 1e-6 lies within 0.002 of its own 1e-6 point, in a
+        # segment 23 units wide
+        m = len(sigma2_s)
+        cfg = default_scenario(M=m, K=min(m, 4), N=n_samples, sigma2_s=tuple(sigma2_s))
         *_, mass_error = dp._quadrature_rank_densities(cfg)
         assert mass_error <= 1e-6
 
@@ -670,7 +701,7 @@ class TestSerialization:
         assert resaved.read_bytes() == path.read_bytes()
         assert loaded.diagnostics == policy_throughput_default.diagnostics
         assert set(loaded.diagnostics) == {"quadrature_mass_error", "nodes", "grid_size"}
-        assert loaded.diagnostics["nodes"] == 2112
+        assert loaded.diagnostics["nodes"] == 1600
         assert loaded.diagnostics["grid_size"] == policy_throughput_default.grid.size == 1001
         assert 0.0 <= loaded.diagnostics["quadrature_mass_error"] <= 1e-6
         assert concavity_check(loaded)
