@@ -248,6 +248,29 @@ class TestLawStack:
             exceed_prob(1.0, H0, (LlrLaw.energy(3, 2.0), LlrLaw.shift_in_mean(3, 0.0, 1.0, 1.0)))
 
 
+def test_tail_bits_match_recorded_digest(check_digest):
+    # the tails' bits, which a CSV digest cannot see move by one ulp: per law,
+    # a seeded unsorted mix of points on both sides of both means, one point,
+    # and points above both means; then a 16-law stack on the mix
+    laws = [LlrLaw.energy(n, snr) for n in (1, 3, 10, 40) for snr in (0.1, 2.0, 50.0)]
+    laws.append(LlrLaw.shift_in_mean(3, -1.0, 1.0, 2.0))
+    rng = np.random.default_rng(29)
+    outputs = []
+    for law in laws:
+        lo, hi = law.effective_range(1e-9)
+        near = [law.mean(hyp) + law.scale(hyp) * math.sqrt(2.0 * law.dof) * rng.standard_normal(250)
+                for hyp in (H0, H1)]
+        mix = rng.permutation(np.concatenate(near + [rng.uniform(lo, hi, 100)]))
+        top = max(abs(law.mean(H0)), abs(law.mean(H1)))
+        for y in (mix, np.array([0.5 * hi]), rng.uniform(top, hi, 200)):
+            outputs += [f(y, hyp, law) for hyp in (H0, H1) for f in (exceed_prob, llr_pdf)]
+            outputs.append(correction_term(y, law))
+    stack = LawStack.of(tuple(LlrLaw.energy(3, snr) for snr in np.geomspace(0.1, 50.0, 16)))
+    y = rng.uniform(-stack.shift.max(), 60.0, 600)
+    outputs += [f(y, hyp, stack) for hyp in (H0, H1) for f in (exceed_prob, llr_pdf)]
+    check_digest("kernel/tails", b"".join(np.asarray(out, dtype=float).tobytes() for out in outputs))
+
+
 class TestErfcx:
     """The tabled erfcx against scipy's over the range where exp(-v^2) does
     not underflow. Each is within about 8 ulps of the exact value, so they
