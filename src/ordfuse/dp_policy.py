@@ -490,17 +490,17 @@ def run_policy_batch(ordered_values: np.ndarray, policy: PolicyTable):
             )
         pi = pi * f0 / den
         stop_h0 = pi >= policy.pi_high[k - 1]
-        if k == k_max:
-            declared[active] = np.where(stop_h0, 0, 1)
-            stage[active] = k
-            break
-        stop_h1 = ~stop_h0 & (pi <= policy.pi_low[k - 1])
-        declared[active[stop_h0]] = 0
-        declared[active[stop_h1]] = 1
-        stop = stop_h0 | stop_h1
-        stage[active[stop]] = k
-        active = active[~stop]
-        pi = pi[~stop]
+        # every slot still running stops at the last stage
+        stop = stop_h0 | (pi <= policy.pi_low[k - 1]) | (k == k_max)
+        # index arrays split the slots without the data-dependent branches
+        # of boolean-mask gathers
+        stopped = np.flatnonzero(stop)
+        going = np.flatnonzero(~stop)
+        done = active.take(stopped)
+        declared[done] = np.where(stop_h0.take(stopped), 0, 1)
+        stage[done] = k
+        active = active.take(going)
+        pi = pi.take(going)
         if active.size == 0:
             break
     return declared, stage

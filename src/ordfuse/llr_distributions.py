@@ -185,14 +185,18 @@ def _chi2_tail(q, dof: int, upper: bool):
         return np.empty(q.shape)
     x = np.maximum(q, 0.0) * 0.5
     above = x >= 0.5 * dof
-    # an input wholly on one side of the mean needs no mask and no scatter
+    # an input wholly on one side of the mean needs no split and no scatter
     n_above = np.count_nonzero(above)
     if n_above in (0, above.size):
         return _one_side_tail(x, dof, upper, above=n_above > 0)
-    out = np.empty_like(x)
-    out[above] = _one_side_tail(x[above], dof, upper, above=True)
-    out[~above] = _one_side_tail(x[~above], dof, upper, above=False)
-    return out
+    # points arrive in slot order, each side at random: index arrays split
+    # them without the data-dependent branches of boolean-mask gathers and
+    # scatters (NaN, not >= the mean, goes below)
+    out = np.empty(x.size)
+    for side in (True, False):
+        idx = np.flatnonzero(above if side else ~above)
+        out[idx] = _one_side_tail(x.take(idx), dof, upper, above=side)
+    return out.reshape(x.shape)
 
 
 def _in_chunks(f, x: np.ndarray) -> np.ndarray:
@@ -424,10 +428,10 @@ def _llr_tail(y, hyp: Hypothesis, law, upper: bool):
             return _chi2_sf(q, law.dof)
         if np.ndim(q) == 0:
             return _chi2_cdf(q, law.dof) if q > 0.0 else 0.0
-        inside = q > 0.0
-        out = np.zeros(inside.shape)
-        out[inside] = _chi2_cdf(q[inside], law.dof)
-        return out
+        inside = np.flatnonzero(q > 0.0)
+        out = np.zeros(q.size)
+        out[inside] = _chi2_cdf(q.take(inside), law.dof)
+        return out.reshape(q.shape)
     z = (y - law.mean(hyp)) / law.scale0
     return _ndtr(-z if upper else z)
 
@@ -457,19 +461,21 @@ def _log_central_mass(a, hyp: Hypothesis, law: LlrLaw):
     -inf; the caller silences numpy's divide warning."""
     flat = a.ravel()
     mean = law.mean(hyp)
-    near = flat < abs(mean)
-    n_near = np.count_nonzero(near)
+    near_mask = flat < abs(mean)
+    # index arrays, as in `_chi2_tail`
+    near = np.flatnonzero(near_mask)
     out = np.empty_like(flat)
     # a side without points is skipped: a tail costs dozens of array passes,
     # on an empty array too
-    if n_near:
+    if near.size:
         upper = mean < 0.0
-        inner = flat[near]
+        inner = flat.take(near)
         # the tail at the end nearer the mean less the one at the farther end
         nearer, farther = (-inner, inner) if upper else (inner, -inner)
         out[near] = np.log(_llr_tail(nearer, hyp, law, upper) - _llr_tail(farther, hyp, law, upper))
-    if n_near < flat.size:
-        out[~near] = np.log1p(-exceed_prob(flat[~near], hyp, law))
+    if near.size < flat.size:
+        far = np.flatnonzero(~near_mask)
+        out[far] = np.log1p(-exceed_prob(flat.take(far), hyp, law))
     return out.reshape(a.shape)
 
 

@@ -131,8 +131,8 @@ def draw_slots(config: ScenarioConfig, rng: np.random.Generator, n_slots: int):
 
     Returns (truth, llr, ordered_values, order) where truth is (n,) of
     {0,1}, llr is (n, M), ordered_values is (n, M) sorted by descending |llr|
-    per slot (ties broken by lower sensor index via a stable sort) and order
-    holds the sensor index of each ordered value. A single slot is the
+    per slot (ties broken by lower sensor index, as by a stable sort) and
+    order holds the sensor index of each ordered value. A single slot is the
     one-row case.
 
     Under the energy model the samples are the normals scaled by the
@@ -156,7 +156,28 @@ def draw_slots(config: ScenarioConfig, rng: np.random.Generator, n_slots: int):
         x = z * math.sqrt(config.sigma2) + mean[:, :, None]
         diff = (x - mu0[None, :, None]) ** 2 - (x - mu1[None, :, None]) ** 2
         llr = diff.sum(axis=2) / (2.0 * config.sigma2)
-    order = np.argsort(-np.abs(llr), axis=1, kind="stable")
+    order = np.argsort(-np.abs(llr), axis=1)
     ordered_values = np.take_along_axis(llr, order, axis=1)
+    # freed here, the normals leave the tie check's temporaries room in
+    # memory the chunk already holds; freed before the sort, they leave it
+    # to the returned arrays, and a loop of chunks faults about twice as
+    # many pages of trimmed heap back in
+    del z
+    ordered_values, order = _stable_on_ties(llr, ordered_values, order)
     return truth, llr, ordered_values, order
+
+
+def _stable_on_ties(llr: np.ndarray, ordered_values: np.ndarray, order: np.ndarray):
+    """(ordered_values, order) of the stable sort of each row of `llr` by
+    descending magnitude, from those of numpy's default argsort.
+
+    The default kind is faster, and the two sorts agree on every row
+    without two equal magnitudes. So its result stands unless its sorted
+    magnitudes hold an exact tie; a chunk with one is sorted again by the
+    stable kind."""
+    magnitude = np.abs(ordered_values)
+    if np.any(magnitude[:, 1:] == magnitude[:, :-1]):
+        order = np.argsort(-np.abs(llr), axis=1, kind="stable")
+        ordered_values = np.take_along_axis(llr, order, axis=1)
+    return ordered_values, order
 

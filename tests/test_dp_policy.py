@@ -614,6 +614,21 @@ class TestRunPolicy:
         # slots in many patterns while the survivors' beliefs must not shift
         self._assert_single_matches_batch(*non_identical, n_slots=256)
 
+    def test_edge_batches_match_one_row_calls(self, scenario, policy_error_min):
+        # batches in which no slot stops at stage 1, every slot stops there,
+        # and a single slot continues past it: the executor's split then
+        # takes empty and one-element index arrays
+        n = 100
+        _, _, ordered, _ = draw_slots(scenario, np.random.default_rng(79), n)
+        alone = [run_policy_batch(ordered[i : i + 1], policy_error_min) for i in range(n)]
+        first = np.array([stage[0] == 1 for _, stage in alone])
+        stops, goes = np.flatnonzero(first), np.flatnonzero(~first)
+        assert stops.size >= 4 and goes.size >= 4
+        for rows in (goes[:4], stops[:4], np.append(stops[:4], goes[0])):
+            declared, stage = run_policy_batch(ordered[rows], policy_error_min)
+            assert declared.tolist() == [alone[i][0][0] for i in rows]
+            assert stage.tolist() == [alone[i][1][0] for i in rows]
+
     def test_report_outside_support_raises(self, policy_error_min):
         # -5.0 lies below the energy law's support, so no rank density is positive
         with pytest.raises(PosteriorUndefined):

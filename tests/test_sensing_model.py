@@ -6,7 +6,7 @@ import pytest
 
 from ordfuse.defaults import default_scenario
 from ordfuse.reference import llr_from_samples, rank_by_magnitude
-from ordfuse.sensing_model import MeasurementModel, draw_slots
+from ordfuse.sensing_model import MeasurementModel, _stable_on_ties, draw_slots
 
 
 class TestScenarioConfig:
@@ -108,6 +108,48 @@ class TestRankByMagnitude:
     def test_deterministic(self, rng):
         values = rng.normal(size=8)
         assert rank_by_magnitude(values) == rank_by_magnitude(values)
+
+
+class TestStableOnTies:
+    """`draw_slots`' ordering: numpy's default argsort, checked for an exact
+    tie in magnitude, falls back to the stable sort for the whole chunk, so
+    the order is the stable sort's on every row."""
+
+    @staticmethod
+    def _sort_kinds(monkeypatch, llr):
+        order = np.argsort(-np.abs(llr), axis=1)
+        kinds = []
+        argsort = np.argsort
+
+        def recording_argsort(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording_argsort)
+        ordered_values, order = _stable_on_ties(llr, np.take_along_axis(llr, order, axis=1), order)
+        monkeypatch.undo()
+        assert order.dtype == np.intp
+        for row, values, sensors in zip(llr, ordered_values, order):
+            expected = rank_by_magnitude(row)
+            assert sensors.tolist() == [s for s, _ in expected]
+            # bytes, so that 0.0 and -0.0 are told apart
+            assert values.tobytes() == np.array([v for _, v in expected]).tobytes()
+        return kinds
+
+    def test_tied_rows(self, monkeypatch):
+        llr = np.array([
+            [1.5, -0.3, -1.5, 0.3, 2.0, -2.0],  # +-x pairs
+            [0.7, 0.7, -0.7, 0.1, 0.7, 0.2],  # one magnitude four times
+            [0.0, -0.0, 0.5, -0.0, 0.0, -0.5],  # signed zeros
+            [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],  # nothing but zeros
+        ])
+        assert self._sort_kinds(monkeypatch, llr) == ["stable"]
+
+    def test_one_tied_row_sorts_the_chunk_stably(self, monkeypatch):
+        llr = np.random.default_rng(83).standard_normal((8192, 10))
+        assert self._sort_kinds(monkeypatch, llr) == []
+        llr[4100, 7] = -llr[4100, 2]
+        assert self._sort_kinds(monkeypatch, llr) == ["stable"]
 
 
 class TestDrawSlot:
