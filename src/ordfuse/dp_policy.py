@@ -10,7 +10,9 @@ the tests compare against.
 
 from __future__ import annotations
 
+import binascii
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -36,6 +38,11 @@ _GAUSS_WEIGHTS = np.array([
 ])
 _LOG_ODDS_SPAN = 16.0  # belief-grid interior covers log-odds in [-span, span]
 _GRID_SIZE = 1001  # belief-grid points G
+# rank-density layouts kept per process: a command solves for one or two
+# ensembles, and a process runs a few commands
+_LAYOUT_CACHE_SIZE = 4
+# the policy file's packed arrays and their dtypes, little-endian
+_PACKED_DTYPES = {"grid": "<f8", "values": "<f8", "actions": "i1"}
 
 
 class SolverError(RuntimeError):
@@ -158,14 +165,15 @@ class PolicyTable:
     diagnostics: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
+        """Write the policy as JSON, format version 3: `grid`, `values` and
+        `actions` are packed arrays (little-endian bytes in base64), the
+        rest stays plain JSON."""
         payload = {
             "format": "ordfuse-policy",
-            "version": 2,
+            "version": 3,
             "kind": self.kind,
             "scenario": record(self.scenario),
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "actions": self.actions.astype(int).tolist(),
+            **{name: _pack(getattr(self, name), dtype) for name, dtype in _PACKED_DTYPES.items()},
             "pi_low": self.pi_low.tolist(),
             "pi_high": self.pi_high.tolist(),
             "diagnostics": self.diagnostics,
@@ -176,24 +184,64 @@ class PolicyTable:
 
     @classmethod
     def load(cls, path) -> "PolicyTable":
+        """Read a version-3 policy file; a malformed array or threshold
+        raises ValueError naming its field."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != "ordfuse-policy" or payload.get("version") != 2:
+        if payload.get("format") != "ordfuse-policy" or payload.get("version") != 3:
             raise ValueError("not a recognized policy file")
         cm = payload["cost_model"]
         sc = payload["scenario"]
         model = MeasurementModel(sc["measurement_model"])
+        scenario = ScenarioConfig(**{**sc, "measurement_model": model})
+        grid = _unpack(payload, "grid", (None,))
+        shape = (scenario.K, grid.size)
         return cls(
-            grid=np.asarray(payload["grid"], dtype=float),
-            values=np.asarray(payload["values"], dtype=float),
-            actions=np.asarray(payload["actions"], dtype=np.int8),
-            pi_low=np.asarray(payload["pi_low"], dtype=float),
-            pi_high=np.asarray(payload["pi_high"], dtype=float),
+            grid=grid,
+            values=_unpack(payload, "values", shape),
+            actions=_unpack(payload, "actions", shape),
+            pi_low=_thresholds(payload, "pi_low", scenario.K),
+            pi_high=_thresholds(payload, "pi_high", scenario.K),
             cost_model=CostModel(**{**cm, "mode": CostMode(cm["mode"])}),
-            scenario=ScenarioConfig(**{**sc, "measurement_model": model}),
+            scenario=scenario,
             kind=payload["kind"],
             diagnostics=dict(payload.get("diagnostics", {})),
         )
+
+
+def _pack(array: np.ndarray, dtype: str) -> dict:
+    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(array.shape),
+            "data": binascii.b2a_base64(data, newline=False).decode("ascii")}
+
+
+def _unpack(payload: dict, name: str, shape: tuple) -> np.ndarray:
+    """The packed array stored under `name`, checked before it is built: its
+    dtype is the field's, its shape is `shape` (None matches any length)
+    and its data decodes to exactly that many elements."""
+    dtype = np.dtype(_PACKED_DTYPES[name])
+    packed = payload.get(name)
+    if not isinstance(packed, dict) or packed.get("dtype") != _PACKED_DTYPES[name]:
+        raise ValueError(f"policy field {name!r} is not a packed {_PACKED_DTYPES[name]} array")
+    stored = packed.get("shape")
+    if (not isinstance(stored, list) or len(stored) != len(shape)
+            or any(type(n) is not int or n < 0 or want not in (None, n) for n, want in zip(stored, shape))):
+        raise ValueError(f"policy field {name!r} has shape {stored}, expected {list(shape)}")
+    try:
+        data = binascii.a2b_base64(packed.get("data"), strict_mode=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"policy field {name!r} holds no base64 data") from exc
+    if len(data) != math.prod(stored) * dtype.itemsize:
+        raise ValueError(f"policy field {name!r} holds {len(data)} bytes, "
+                         f"expected {math.prod(stored) * dtype.itemsize}")
+    return np.frombuffer(data, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(stored)
+
+
+def _thresholds(payload: dict, name: str, k_max: int) -> np.ndarray:
+    array = np.asarray(payload[name], dtype=float)
+    if array.shape != (k_max,):
+        raise ValueError(f"policy field {name!r} has shape {list(array.shape)}, expected [{k_max}]")
+    return array
 
 
 def accumulated_llr_equivalent(pi_threshold: float, log_prior_ratio: float) -> float:
@@ -292,22 +340,46 @@ def _quadrature_rank_densities(config: ScenarioConfig):
     """Nodes, weights and normalized rank densities for ranks 1..K.
 
     Node masses are forced to one per (rank, hypothesis); a mass off by more
-    than the tolerance even after panel doubling raises SolverError.
+    than the tolerance even after panel doubling raises SolverError. The
+    arrays are read-only: `_rank_density_layout` shares them between every
+    solve on equal sensors, K and panel edges.
     """
     ensemble = SensorEnsemble.from_config(config)
     for per_segment in (24, 48):
-        nodes, weights = panels_from_edges(_quadrature_edges(ensemble, per_segment))
-        f0 = ranked_pdfs(config.K, nodes, Hypothesis.H0, ensemble)
-        f1 = ranked_pdfs(config.K, nodes, Hypothesis.H1, ensemble)
-        mass0 = f0 @ weights
-        mass1 = f1 @ weights
+        edges = _quadrature_edges(ensemble, per_segment)
+        nodes, weights, f0, f1, mass0, mass1 = _rank_density_layout(ensemble, config.K, edges.tobytes())
         err = max(np.abs(mass0 - 1.0).max(), np.abs(mass1 - 1.0).max())
         if err <= 1e-6:
-            return nodes, weights, f0 / mass0[:, None], f1 / mass1[:, None], err
+            return nodes, weights, f0, f1, err
     raise SolverError(
         "rank-density quadrature did not converge: "
         f"node masses H0={mass0.tolist()}, H1={mass1.tolist()}"
     )
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _rank_density_layout(ensemble: SensorEnsemble, k_max: int, edges: bytes):
+    """Nodes and weights of the Gauss-Legendre panels between `edges` (the
+    float64 bytes of an edge array), the rank densities of ranks 1..k_max
+    normalized by their node masses under H0 and H1, and those masses.
+
+    They depend on the sensors' laws, k_max and the panels, never on the
+    cost model, so solves on equal ones share a read-only copy. Keying on
+    the edges themselves keeps a patched `_quadrature_edges` off another
+    layout's entry.
+    """
+    nodes, weights = panels_from_edges(np.frombuffer(edges))
+    f0 = ranked_pdfs(k_max, nodes, Hypothesis.H0, ensemble)
+    f1 = ranked_pdfs(k_max, nodes, Hypothesis.H1, ensemble)
+    mass0 = f0 @ weights
+    mass1 = f1 @ weights
+    # a layout that fails the mass check may have a zero mass; its
+    # densities are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        layout = (nodes, weights, f0 / mass0[:, None], f1 / mass1[:, None], mass0, mass1)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def _stage_stop_costs(k: int, grid: np.ndarray, cost_model: CostModel, config: ScenarioConfig):
@@ -356,7 +428,11 @@ def _continuation(grid, j_next, f0, f1, weights):
     a1 = np.bincount(shift, w * f1, minlength=2 * g - 3)
     # output i - 1 reads padded entry i - 1 + (d + G - 2), which must hold
     # cell clip(i + d, 0, G - 2)
-    lines = np.pad(np.stack([line1, line0]), ((0, 0), (g - 3, g - 2)), mode="edge")
+    lines = np.empty((2, 3 * g - 6))
+    lines[0, g - 3:2 * g - 4] = line1
+    lines[1, g - 3:2 * g - 4] = line0
+    lines[:, :g - 3] = lines[:, g - 3:g - 2]
+    lines[:, 2 * g - 4:] = lines[:, 2 * g - 5:2 * g - 4]
     # the 'valid' correlation of a 3G - 6 line with 2G - 3 taps is the full
     # convolution with the reversed taps at outputs 2G - 4 ... 3G - 7; with
     # n >= 3G - 6 no circular wrap reaches them

@@ -7,7 +7,7 @@ import pytest
 
 from ordfuse.cli import ConfigError, ExperimentSpec, load_config, main, run_experiment
 from ordfuse.defaults import default_fading
-from ordfuse.dp_policy import CostMode, CostModel, PolicyTable
+from ordfuse.dp_policy import CostMode, CostModel, PolicyTable, concavity_check, solve_backward
 from ordfuse.fading_link import FadingConfig
 from ordfuse.sensing_model import MeasurementModel, ScenarioConfig
 
@@ -539,8 +539,15 @@ class TestMain:
         out = tmp_path / "policy.json"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         policy = PolicyTable.load(out)
-        assert policy.scenario == load_config(cfg).scenario
+        bundle = load_config(cfg)
+        assert policy.scenario == bundle.scenario
         assert policy.kind == "two-threshold"
+        # what the benchmark worker checks of every policy it writes: the
+        # file loads and its values are concave
+        assert concavity_check(policy)
+        solved = solve_backward(bundle.scenario, bundle.cost)
+        for name in ("grid", "values", "actions", "pi_low", "pi_high"):
+            assert getattr(policy, name).tobytes() == getattr(solved, name).tobytes(), name
 
     def test_solve_prints_diagnostics(self, tmp_path, capsys):
         cfg = _write(tmp_path, "")

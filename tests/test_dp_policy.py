@@ -396,6 +396,57 @@ class TestQuadratureLayout:
                 np.testing.assert_allclose(sized.values, uniform.values, rtol=0, atol=1e-5)
 
 
+class TestLayoutCache:
+    """Solves on equal sensors and K share one rank-density layout, whatever
+    their cost models; the solves that look inside a layout clear the cache
+    first."""
+
+    def test_equal_scenario_reuses_layout(self, monkeypatch, non_identical):
+        calls = []
+        real = dp.ranked_pdfs
+        monkeypatch.setattr(dp, "ranked_pdfs", lambda *args: calls.append(args[0]) or real(*args))
+        dp._rank_density_layout.cache_clear()
+        solve_backward(non_identical[0], CostModel.error_min(c=0.0001))
+        assert len(calls) == 2
+        # an equal scenario, not the same object, under another cost model
+        cfg = default_scenario(M=6, sigma2_s=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
+        assert cfg == non_identical[0] and cfg is not non_identical[0]
+        cost_model = CostModel.throughput(c=0.0001)
+        cached = solve_backward(cfg, cost_model)
+        assert len(calls) == 2
+        dp._rank_density_layout.cache_clear()
+        fresh = solve_backward(cfg, cost_model)
+        assert len(calls) == 4
+        for name in ("values", "actions", "pi_low", "pi_high"):
+            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert cached.diagnostics == fresh.diagnostics
+
+    def test_patched_edges_get_their_own_layout(self, monkeypatch):
+        cfg = default_scenario()
+        assert solve_backward(cfg, CostModel.error_min()).diagnostics["nodes"] == 1600
+        layouts = []
+        monkeypatch.setattr(dp, "_quadrature_edges",
+                            lambda ens, n: layouts.append(_uniform_edges(ens, 2 * n)) or layouts[-1])
+        patched = solve_backward(cfg, CostModel.error_min())
+        assert patched.diagnostics["nodes"] == 16 * (layouts[-1].size - 1) != 1600
+
+    def test_holds_at_most_its_bound(self):
+        dp._rank_density_layout.cache_clear()
+        powers = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+        assert len(powers) > dp._LAYOUT_CACHE_SIZE
+        for power in powers:
+            dp._quadrature_rank_densities(default_scenario(M=4, K=3, sigma2_s=(power,) * 4))
+        info = dp._rank_density_layout.cache_info()
+        assert info.misses == len(powers)
+        assert info.currsize == dp._LAYOUT_CACHE_SIZE
+
+    def test_cached_arrays_reject_writes(self):
+        nodes, weights, f0, f1, _ = dp._quadrature_rank_densities(default_scenario())
+        for array in (nodes, weights, f0, f1):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
 def _assert_matches_dense(monkeypatch, cfg, cost_model, grid_size=1001):
     """Solve with `reference.dense_continuation` as the continuation, and with
     the runtime one, on a belief grid of `grid_size` points.
@@ -693,8 +744,25 @@ class TestSerialization:
         )
         base = default_scenario()
         assert all(getattr(sc, f.name) != getattr(base, f.name) for f in fields(ScenarioConfig))
-        replace(policy_throughput_default, scenario=sc).save(path)
+        _first_stages(policy_throughput_default, sc).save(path)
         assert PolicyTable.load(path).scenario == sc
+
+    def test_round_trip_non_identical(self, non_identical, tmp_path):
+        # the packed arrays load bit for bit, and the file resaves to its bytes
+        policy = non_identical[1]
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        loaded = PolicyTable.load(path)
+        resaved = tmp_path / "resaved.json"
+        loaded.save(resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+        for name in ("grid", "values", "actions", "pi_low", "pi_high"):
+            got, want = getattr(loaded, name), getattr(policy, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.writeable, name
+        assert loaded.scenario == policy.scenario
+        assert loaded.diagnostics == policy.diagnostics
 
     @pytest.mark.parametrize("which", ["identical", "non-identical"])
     def test_loaded_policy_decides_as_solved(self, which, policy_error_min, non_identical, tmp_path):
@@ -732,11 +800,65 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a recognized policy file"):
             PolicyTable.load(path)
 
+    def test_rejects_version_2_file(self, policy_error_min, tmp_path):
+        # version 2 wrote the arrays as nested lists of decimal text
+        path = tmp_path / "policy.json"
+        policy_error_min.save(path)
+        payload = json.loads(path.read_text())
+        payload.update(version=2, grid=policy_error_min.grid.tolist(),
+                       values=policy_error_min.values.tolist(),
+                       actions=policy_error_min.actions.astype(int).tolist())
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="not a recognized policy file"):
+            PolicyTable.load(path)
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("values", lambda r: r.update(data=r["data"][:-8]), "holds 64059 bytes, expected 64064"),
+            ("grid", lambda r: r.update(data=r["data"][:-1]), "holds no base64 data"),
+            ("actions", lambda r: r.update(data=r["data"].replace("A", "*", 1)), "holds no base64 data"),
+            ("values", lambda r: r.update(shape=r["shape"][::-1]), r"has shape \[1001, 8\]"),
+            ("actions", lambda r: r.update(shape=[8 * 1001]), r"has shape \[8008\]"),
+            ("grid", lambda r: r.update(shape=[1001, 1]), r"has shape \[1001, 1\]"),
+            ("values", lambda r: r.update(dtype="<f4"), "is not a packed <f8 array"),
+            ("values", lambda r: r.update(dtype=">f8"), "is not a packed <f8 array"),
+            ("actions", lambda r: r.update(dtype="<f8"), "is not a packed i1 array"),
+            ("pi_low", lambda r: r.pop(), r"has shape \[7\], expected \[8\]"),
+        ],
+        ids=["truncated", "bad-padding", "not-base64", "transposed", "flattened", "grid-2d",
+             "float32", "big-endian", "actions-as-float", "short-thresholds"],
+    )
+    def test_rejects_malformed_field(self, policy_error_min, tmp_path, name, edit, message):
+        path = tmp_path / "policy.json"
+        policy_error_min.save(path)
+        payload = json.loads(path.read_text())
+        edit(payload[name])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"policy field '{name}' {message}"):
+            PolicyTable.load(path)
+
+    def test_rejects_arrays_of_another_depth(self, policy_error_min, tmp_path):
+        # K comes from the stored scenario: eight stages of arrays under a
+        # scenario of K=3 do not load
+        path = tmp_path / "policy.json"
+        replace(policy_error_min, scenario=replace(policy_error_min.scenario, K=3)).save(path)
+        message = r"policy field 'values' has shape \[8, 1001\], expected \[3, 1001\]"
+        with pytest.raises(ValueError, match=message):
+            PolicyTable.load(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a recognized"):
             PolicyTable.load(path)
+
+
+def _first_stages(policy: PolicyTable, scenario: ScenarioConfig) -> PolicyTable:
+    """The policy's first `scenario.K` stages, labelled with `scenario`."""
+    k = scenario.K
+    return replace(policy, scenario=scenario, values=policy.values[:k], actions=policy.actions[:k],
+                   pi_low=policy.pi_low[:k], pi_high=policy.pi_high[:k])
 
 
 class TestLlrEquivalent:

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from ordfuse import llr_distributions
+from ordfuse import dp_policy, llr_distributions
 from ordfuse.defaults import default_scenario
 from ordfuse.dp_policy import CostModel, solve_backward
 from ordfuse.fusion_sim import make_detector, run_monte_carlo
@@ -671,17 +671,22 @@ class TestCorrectionEnvelope:
 @pytest.fixture
 def scipy_tails(monkeypatch):
     """Switches the chi-square tails to scipy's pair when called; the cached
-    envelopes built on either pair are dropped at each switch and at teardown."""
+    envelopes and rank-density layouts built on either pair are dropped at
+    each switch and at teardown."""
+
+    def clear():
+        envelope_for.cache_clear()
+        dp_policy._rank_density_layout.cache_clear()
 
     def switch():
         monkeypatch.setattr(llr_distributions, "_chi2_cdf", lambda q, dof: chi2_tails(q, dof)[0])
         monkeypatch.setattr(llr_distributions, "_chi2_sf", lambda q, dof: chi2_tails(q, dof)[1])
-        envelope_for.cache_clear()
+        clear()
 
-    envelope_for.cache_clear()
+    clear()
     yield switch
     monkeypatch.undo()
-    envelope_for.cache_clear()
+    clear()
 
 
 def _decisions():
