@@ -824,10 +824,14 @@ class TestSerialization:
             ("values", lambda r: r.update(dtype="<f4"), "is not a packed <f8 array"),
             ("values", lambda r: r.update(dtype=">f8"), "is not a packed <f8 array"),
             ("actions", lambda r: r.update(dtype="<f8"), "is not a packed i1 array"),
+            ("values", lambda r: r.pop("data"), "holds no base64 data"),
+            ("grid", lambda r: r.update(data=1001), "holds no base64 data"),
+            ("actions", lambda r: r.update(data="\u00e9" + r["data"][1:]), "holds no base64 data"),
             ("pi_low", lambda r: r.pop(), r"has shape \[7\], expected \[8\]"),
         ],
         ids=["truncated", "bad-padding", "not-base64", "transposed", "flattened", "grid-2d",
-             "float32", "big-endian", "actions-as-float", "short-thresholds"],
+             "float32", "big-endian", "actions-as-float", "no-data", "data-not-text",
+             "non-ascii", "short-thresholds"],
     )
     def test_rejects_malformed_field(self, policy_error_min, tmp_path, name, edit, message):
         path = tmp_path / "policy.json"
@@ -837,6 +841,17 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"policy field '{name}' {message}"):
             PolicyTable.load(path)
+
+    def test_loads_with_positional_only_decoder(self, policy_error_min, tmp_path, monkeypatch):
+        # Python 3.10's a2b_base64 takes the data alone; loading must not
+        # pass it a keyword that later versions added
+        real = dp.binascii.a2b_base64
+        monkeypatch.setattr(dp.binascii, "a2b_base64", lambda data, /: real(data))
+        path = tmp_path / "policy.json"
+        policy_error_min.save(path)
+        loaded = PolicyTable.load(path)
+        for name in ("grid", "values", "actions"):
+            assert getattr(loaded, name).tobytes() == getattr(policy_error_min, name).tobytes(), name
 
     def test_rejects_arrays_of_another_depth(self, policy_error_min, tmp_path):
         # K comes from the stored scenario: eight stages of arrays under a
