@@ -4,13 +4,13 @@ Solves the finite-horizon optimal-stopping problem over the posterior
 probability that the channel is free. Stage k's continuation expectation
 integrates the next stage's value against the rank-(k+1) marginal mixture,
 the reduced-complexity recursion that drops conditioning on the previous
-report. The exact conditional recursion lives in `ordfuse.reference`, which
-the tests compare against.
+report; no exact conditional recursion is implemented. The tests check the
+continuation against `ordfuse.reference.dense_continuation`, and the belief
+chain against `posterior_update_exact` and Bayes on `joint_topk_pdf`.
 """
 
 from __future__ import annotations
 
-import binascii
 import enum
 import functools
 import json
@@ -42,8 +42,6 @@ _GRID_SIZE = 1001  # belief-grid points G
 # the latest layout (fig-sensing-vs-c's c values); only a process that runs
 # several commands, as the benchmark worker does, reuses an older one
 _LAYOUT_CACHE_SIZE = 2
-# the policy file's packed arrays and their dtypes, little-endian
-_PACKED_DTYPES = {"grid": "<f8", "values": "<f8", "actions": "i1"}
 
 
 class SolverError(RuntimeError):
@@ -166,86 +164,48 @@ class PolicyTable:
     diagnostics: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
-        """Write the policy as JSON, format version 3: `grid`, `values` and
-        `actions` are packed arrays (little-endian bytes in base64), the
-        rest stays plain JSON."""
-        payload = {
-            "format": "ordfuse-policy",
-            "version": 3,
-            "kind": self.kind,
-            "scenario": record(self.scenario),
-            **{name: _pack(getattr(self, name), dtype) for name, dtype in _PACKED_DTYPES.items()},
-            "pi_low": self.pi_low.tolist(),
-            "pi_high": self.pi_high.tolist(),
-            "diagnostics": self.diagnostics,
-            "cost_model": record(self.cost_model),
-        }
+        """Write the policy as an indented JSON record, format version 4: its
+        kind, scenario, cost model, per-stage thresholds and solver
+        diagnostics. `load` solves the grid, values and actions again."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))  # json.dump never uses the C encoder
+            json.dump(_file_record(self), fh, indent=2)
 
     @classmethod
     def load(cls, path) -> "PolicyTable":
-        """Read a version-3 policy file; a malformed array or threshold
-        raises ValueError naming its field."""
+        """Read a version-4 policy record and solve its scenario and cost
+        model again with the solver its kind names. The record must equal
+        the re-solve's; an edited threshold or field, or a file from another
+        solver version, raises ValueError. Returns the re-solved table."""
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != "ordfuse-policy" or payload.get("version") != 3:
+            stored = json.load(fh)
+        header = (stored.get("format"), stored.get("version")) if isinstance(stored, dict) else None
+        if header != ("ordfuse-policy", 4):
             raise ValueError("not a recognized policy file")
-        cm = payload["cost_model"]
-        sc = payload["scenario"]
-        model = MeasurementModel(sc["measurement_model"])
-        scenario = ScenarioConfig(**{**sc, "measurement_model": model})
-        grid = _unpack(payload, "grid", (None,))
-        shape = (scenario.K, grid.size)
-        return cls(
-            grid=grid,
-            values=_unpack(payload, "values", shape),
-            actions=_unpack(payload, "actions", shape),
-            pi_low=_thresholds(payload, "pi_low", scenario.K),
-            pi_high=_thresholds(payload, "pi_high", scenario.K),
-            cost_model=CostModel(**{**cm, "mode": CostMode(cm["mode"])}),
-            scenario=scenario,
-            kind=payload["kind"],
-            diagnostics=dict(payload.get("diagnostics", {})),
-        )
+        sc, cm = stored["scenario"], stored["cost_model"]
+        scenario = ScenarioConfig(**{**sc, "measurement_model": MeasurementModel(sc["measurement_model"])})
+        cost_model = CostModel(**{**cm, "mode": CostMode(cm["mode"])})
+        solve = {"two-threshold": solve_backward, "one-threshold": solve_one_threshold}.get(stored["kind"])
+        if solve is None:
+            raise ValueError(f"unknown policy kind {stored['kind']!r}")
+        policy = solve(scenario, cost_model)
+        resolved = json.loads(json.dumps(_file_record(policy)))
+        if differ := sorted(k for k in stored.keys() | resolved if stored.get(k) != resolved.get(k)):
+            raise ValueError(f"policy file does not match a fresh solve of its record: {differ} differ")
+        return policy
 
 
-def _pack(array: np.ndarray, dtype: str) -> dict:
-    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
-    return {"dtype": dtype, "shape": list(array.shape),
-            "data": binascii.b2a_base64(data, newline=False).decode("ascii")}
-
-
-def _unpack(payload: dict, name: str, shape: tuple) -> np.ndarray:
-    """The packed array stored under `name`, checked before it is built: its
-    dtype is the field's, its shape is `shape` (None matches any length)
-    and its data decodes to exactly that many elements."""
-    dtype = np.dtype(_PACKED_DTYPES[name])
-    packed = payload.get(name)
-    if not isinstance(packed, dict) or packed.get("dtype") != _PACKED_DTYPES[name]:
-        raise ValueError(f"policy field {name!r} is not a packed {_PACKED_DTYPES[name]} array")
-    stored = packed.get("shape")
-    if (not isinstance(stored, list) or len(stored) != len(shape)
-            or any(type(n) is not int or n < 0 or want not in (None, n) for n, want in zip(stored, shape))):
-        raise ValueError(f"policy field {name!r} has shape {stored}, expected {list(shape)}")
-    text = packed.get("data")
-    if not isinstance(text, str) or not text.isascii():
-        raise ValueError(f"policy field {name!r} holds no base64 data")
-    try:
-        data = binascii.a2b_base64(text)
-    except binascii.Error as exc:
-        raise ValueError(f"policy field {name!r} holds no base64 data") from exc
-    if len(data) != math.prod(stored) * dtype.itemsize:
-        raise ValueError(f"policy field {name!r} holds {len(data)} bytes, "
-                         f"expected {math.prod(stored) * dtype.itemsize}")
-    return np.frombuffer(data, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(stored)
-
-
-def _thresholds(payload: dict, name: str, k_max: int) -> np.ndarray:
-    array = np.asarray(payload[name], dtype=float)
-    if array.shape != (k_max,):
-        raise ValueError(f"policy field {name!r} has shape {list(array.shape)}, expected [{k_max}]")
-    return array
+def _file_record(policy: PolicyTable) -> dict:
+    """The JSON-ready record that `PolicyTable.save` writes and `load` checks."""
+    return {
+        "format": "ordfuse-policy",
+        "version": 4,
+        "kind": policy.kind,
+        "scenario": record(policy.scenario),
+        "cost_model": record(policy.cost_model),
+        "pi_low": policy.pi_low.tolist(),
+        "pi_high": policy.pi_high.tolist(),
+        "diagnostics": policy.diagnostics,
+    }
 
 
 def accumulated_llr_equivalent(pi_threshold: float, log_prior_ratio: float) -> float:

@@ -724,7 +724,9 @@ class TestSerialization:
         assert loaded.kind == policy_throughput_default.kind
         assert loaded.scenario == policy_throughput_default.scenario
 
-        # every cost field survives the file, not only the ones the fixture sets
+        # every cost field and every scenario field survives the file, not
+        # only the ones the fixture sets: a shift-in-mean scenario with
+        # per-sensor values, solved under a cost that sets every field
         cm = CostModel(
             mode=CostMode.WEIGHTED_THROUGHPUT, omega=0.3, R_p=2.0, R_s=1.5, eta_p=0.9,
             eta_s=0.8, delta_p=0.1, delta_s=0.2, e_pt=0.01, e_st=0.02, P_col=0.3,
@@ -732,10 +734,6 @@ class TestSerialization:
         )
         defaults = CostModel(mode=CostMode.ERROR_MIN)
         assert all(getattr(cm, f.name) != getattr(defaults, f.name) for f in fields(CostModel))
-        replace(policy_throughput_default, cost_model=cm).save(path)
-        assert PolicyTable.load(path).cost_model == cm
-
-        # and every scenario field: shift-in-mean with per-sensor values
         sc = ScenarioConfig(
             M=4, N=2, K=3, tau_s=2.0, tau_N=0.3, tau=0.2, pi0=0.4, sigma2=1.5,
             sigma2_s=(1.0, 2.5, 3.0, 4.0),
@@ -744,11 +742,29 @@ class TestSerialization:
         )
         base = default_scenario()
         assert all(getattr(sc, f.name) != getattr(base, f.name) for f in fields(ScenarioConfig))
-        _first_stages(policy_throughput_default, sc).save(path)
-        assert PolicyTable.load(path).scenario == sc
+        solved = solve_backward(sc, cm)
+        solved.save(path)
+        loaded = PolicyTable.load(path)
+        assert loaded.cost_model == cm
+        assert loaded.scenario == sc
+        assert loaded.pi_high.tobytes() == solved.pi_high.tobytes()
+
+    def test_saved_file_is_an_indented_record(self, policy_error_min, tmp_path):
+        path = tmp_path / "policy.json"
+        policy_error_min.save(path)
+        text = path.read_text(encoding="utf-8")
+        stored = json.loads(text)
+        assert text == json.dumps(stored, indent=2)
+        assert list(stored) == ["format", "version", "kind", "scenario", "cost_model",
+                                "pi_low", "pi_high", "diagnostics"]
+        assert (stored["format"], stored["version"]) == ("ordfuse-policy", 4)
+        assert stored["pi_low"] == policy_error_min.pi_low.tolist()
+        assert stored["pi_high"] == policy_error_min.pi_high.tolist()
+        assert len(text) < 2048
 
     def test_round_trip_non_identical(self, non_identical, tmp_path):
-        # the packed arrays load bit for bit, and the file resaves to its bytes
+        # the re-solved arrays equal the saved policy's bit for bit, and the
+        # file resaves to its bytes
         policy = non_identical[1]
         path = tmp_path / "policy.json"
         policy.save(path)
@@ -813,52 +829,28 @@ class TestSerialization:
             PolicyTable.load(path)
 
     @pytest.mark.parametrize(
-        "name, edit, message",
+        "edit, message",
         [
-            ("values", lambda r: r.update(data=r["data"][:-8]), "holds 64059 bytes, expected 64064"),
-            ("grid", lambda r: r.update(data=r["data"][:-1]), "holds no base64 data"),
-            ("actions", lambda r: r.update(data=r["data"].replace("A", "*", 1)), "holds no base64 data"),
-            ("values", lambda r: r.update(shape=r["shape"][::-1]), r"has shape \[1001, 8\]"),
-            ("actions", lambda r: r.update(shape=[8 * 1001]), r"has shape \[8008\]"),
-            ("grid", lambda r: r.update(shape=[1001, 1]), r"has shape \[1001, 1\]"),
-            ("values", lambda r: r.update(dtype="<f4"), "is not a packed <f8 array"),
-            ("values", lambda r: r.update(dtype=">f8"), "is not a packed <f8 array"),
-            ("actions", lambda r: r.update(dtype="<f8"), "is not a packed i1 array"),
-            ("values", lambda r: r.pop("data"), "holds no base64 data"),
-            ("grid", lambda r: r.update(data=1001), "holds no base64 data"),
-            ("actions", lambda r: r.update(data="\u00e9" + r["data"][1:]), "holds no base64 data"),
-            ("pi_low", lambda r: r.pop(), r"has shape \[7\], expected \[8\]"),
+            (lambda r: r.update(pi_high=[0.5] + r["pi_high"][1:]), r"\['pi_high'\] differ"),
+            (lambda r: r.update(pi_low=r["pi_low"][:-1]), r"\['pi_low'\] differ"),
+            (lambda r: r["scenario"].update(K=3), r"\['diagnostics', 'pi_high', 'pi_low'\] differ"),
+            (lambda r: r["scenario"].update(sigma2_s=[4.0] + r["scenario"]["sigma2_s"][1:]),
+             r"\['diagnostics', 'pi_high', 'pi_low'\] differ"),
+            (lambda r: r.update(kind="three-threshold"), "unknown policy kind 'three-threshold'"),
+            # the error-min cost fails the one-threshold solve's cost rule
+            (lambda r: r.update(kind="one-threshold"), "one-threshold solve requires"),
+            # version 3 also stored the grid, values and actions, in base64
+            (lambda r: r.update(version=3), "not a recognized policy file"),
         ],
-        ids=["truncated", "bad-padding", "not-base64", "transposed", "flattened", "grid-2d",
-             "float32", "big-endian", "actions-as-float", "no-data", "data-not-text",
-             "non-ascii", "short-thresholds"],
+        ids=["edited-pi-high", "short-pi-low", "edited-K", "edited-sigma2_s", "unknown-kind",
+             "one-threshold-costly", "version-3"],
     )
-    def test_rejects_malformed_field(self, policy_error_min, tmp_path, name, edit, message):
+    def test_rejects_edited_record(self, policy_error_min, tmp_path, edit, message):
         path = tmp_path / "policy.json"
         policy_error_min.save(path)
         payload = json.loads(path.read_text())
-        edit(payload[name])
+        edit(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"policy field '{name}' {message}"):
-            PolicyTable.load(path)
-
-    def test_loads_with_positional_only_decoder(self, policy_error_min, tmp_path, monkeypatch):
-        # Python 3.10's a2b_base64 takes the data alone; loading must not
-        # pass it a keyword that later versions added
-        real = dp.binascii.a2b_base64
-        monkeypatch.setattr(dp.binascii, "a2b_base64", lambda data, /: real(data))
-        path = tmp_path / "policy.json"
-        policy_error_min.save(path)
-        loaded = PolicyTable.load(path)
-        for name in ("grid", "values", "actions"):
-            assert getattr(loaded, name).tobytes() == getattr(policy_error_min, name).tobytes(), name
-
-    def test_rejects_arrays_of_another_depth(self, policy_error_min, tmp_path):
-        # K comes from the stored scenario: eight stages of arrays under a
-        # scenario of K=3 do not load
-        path = tmp_path / "policy.json"
-        replace(policy_error_min, scenario=replace(policy_error_min.scenario, K=3)).save(path)
-        message = r"policy field 'values' has shape \[8, 1001\], expected \[3, 1001\]"
         with pytest.raises(ValueError, match=message):
             PolicyTable.load(path)
 
@@ -867,13 +859,6 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a recognized"):
             PolicyTable.load(path)
-
-
-def _first_stages(policy: PolicyTable, scenario: ScenarioConfig) -> PolicyTable:
-    """The policy's first `scenario.K` stages, labelled with `scenario`."""
-    k = scenario.K
-    return replace(policy, scenario=scenario, values=policy.values[:k], actions=policy.actions[:k],
-                   pi_low=policy.pi_low[:k], pi_high=policy.pi_high[:k])
 
 
 class TestLlrEquivalent:

@@ -69,6 +69,7 @@ def test_package_does_not_reexport_reference_names():
 # purpose; each entry says who uses it.
 UNREFERENCED_ALLOWED = {
     "concavity_check": "bench/worker.py checks every saved policy with it",
+    "PolicyTable.load": "bench/worker.py loads every saved policy",
     "sample_participants": "bench/tracing.py traces it, and a traced function "
                            "that is missing fails a benchmark run",
     "participation_pmf": "bench/tracing.py traces it, and a traced function "
@@ -91,12 +92,20 @@ def _definitions(tree: ast.Module):
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
-    """Every bare name and attribute name the module's code reads."""
+    """Every bare name and attribute name the module's code reads, except an
+    attribute read off a name that `import X` binds: `json.load` or
+    `np.sort` is no use of a method called `load` or `sort`."""
+    modules = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    }
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and node.value.id in modules
+        ):
             names.add(node.attr)
     return names
 

@@ -7,9 +7,8 @@ tripled the time of the first solve in a process. `numpy.fft` loads at the
 first solve, whose continuation needs it, and not before: importing the CLI,
 `validate` and a band-detector run leave it out, so neither a command's
 set-up nor a run that never solves pays for it. Set-up, the import and
-`validate`, loads no `base64` either: the policy file packs its arrays with
-`binascii`, which the interpreter loads at start-up. (A Monte Carlo run
-loads `base64` anyway, through `numpy.random`'s import of `secrets`.)"""
+`validate`, loads no `base64` either. (A Monte Carlo run loads `base64`
+anyway, through `numpy.random`'s import of `secrets`.)"""
 
 import json
 import os
